@@ -41,6 +41,14 @@ def _load_config(path):
         if key.endswith("tol") and not (isinstance(val, (int, float))
                                         and val > 0):
             raise ConfigError(f"tolerance {key!r} must be positive")
+    for key in ("beta_max", "T_max", "dt"):
+        if key not in cfg:
+            continue
+        val = cfg[key]
+        # the upper bound rejects inf, and ints too large for a float
+        if not (isinstance(val, (int, float)) and not isinstance(val, bool)
+                and 0 < val <= sys.float_info.max):
+            raise ConfigError(f"{key!r} must be a finite positive number")
     return cfg
 
 
@@ -161,7 +169,9 @@ def cmd_anosov(cfg, out, seed):
     model = _surface(cfg)
     verdict = cocycle.anosov_verdict(
         model, beta_max=float(cfg.get("beta_max", 64.0)),
-        tol=float(cfg.get("tol", 1e-3)), seed=seed)
+        tol=float(cfg.get("tol", 1e-3)),
+        T_max=float(cfg.get("T_max", 200.0)),
+        dt=float(cfg.get("dt", 1e-2)), seed=seed)
     out.json("anosov_verdict.json", verdict)
     return EXIT_OK
 

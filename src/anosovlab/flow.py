@@ -39,7 +39,12 @@ class CurvatureProfile:
 
     ``K_fn``, when present, evaluates K(t) analytically (used for constant,
     piecewise and synthetic profiles); otherwise periodic profiles are
-    evaluated by trigonometric interpolation of the samples.
+    evaluated by trigonometric interpolation of the samples and aperiodic
+    ones by linear interpolation.
+
+    The trigonometric interpolant is summed by Horner's rule in
+    z = exp(i 2 pi t / T) after reducing t modulo the period T: one complex
+    multiply-add per rfft coefficient and point, in O(len(ts)) memory.
     """
 
     K_samples: np.ndarray
@@ -73,15 +78,20 @@ class CurvatureProfile:
                 return np.asarray(self.K_fn(np.mod(ts, self.T)), dtype=float)
             return np.asarray(self.K_fn(ts), dtype=float)
         if self.periodic:
-            # trigonometric interpolation of the periodic samples
-            F = np.fft.rfft(self.K_samples)
-            ks = np.arange(len(F)) * (TWO_PI / self.T)
-            phase = np.exp(1j * np.outer(ts, ks))
-            w = np.ones(len(F))
-            w[1:] = 2.0
-            if len(self.K_samples) % 2 == 0:
-                w[-1] = 1.0
-            return np.real(phase @ (w * F)) / len(self.K_samples)
+            # trigonometric interpolation of the periodic samples: the
+            # interior bins count twice (their conjugates), the even-n
+            # Nyquist bin once
+            n = len(self.K_samples)
+            c = np.fft.rfft(self.K_samples)
+            c[1:] *= 2.0
+            if n % 2 == 0:
+                c[-1] *= 0.5
+            z = np.exp(1j * (TWO_PI / self.T) * np.mod(ts, self.T))
+            acc = np.full(ts.shape, c[-1])
+            for ck in c[-2::-1]:
+                acc *= z
+                acc += ck
+            return acc.real / n
         return np.interp(ts, np.arange(len(self.K_samples)) * self.dt,
                          self.K_samples)
 
@@ -245,7 +255,7 @@ def curvature_profile_along(model, geo):
     Octagon word-geodesics are resampled analytically from the axis, so the
     profile inherits no integrator error (K is -1 there anyway); other models
     evaluate curvature at the stored samples."""
-    K = np.array([model.curvature_at((x, y)) for x, y, _ in geo.samples])
+    K = _curvature_samples(model, geo.samples)
     K_fn = None
     if isinstance(model, (ConstantCurvature, FuchsianOctagon)):
         K0 = model.curvature_at((0.0, 0.0))
@@ -257,16 +267,20 @@ def curvature_profile_along(model, geo):
 def curvature_profile_window(model, start, T_window, dt=5e-3):
     """Aperiodic curvature profile along the orbit window [0, T_window]."""
     orbit = integrate_geodesic(model, start, T_window, dt)
-    K = np.array([model.curvature_at((x, y)) for x, y, _ in orbit.samples])
-    return CurvatureProfile(K, orbit.dt, periodic=False,
+    return CurvatureProfile(_curvature_samples(model, orbit.samples),
+                            orbit.dt, periodic=False,
                             name=f"window:{T_window}")
 
 
-def max_abs_curvature_along(model, start, T_window, dt=5e-3):
+def _curvature_samples(model, samples):
+    """K at the positions of (n, 3) SM samples, in one vectorised call; the
+    same values as ``model.curvature_at`` point by point."""
+    if isinstance(model, ConformalTorus):
+        x, y = model.wrap(samples[:, 0], samples[:, 1])
+        return model._get_splines()["K"](x, y, grid=False)
     if isinstance(model, (ConstantCurvature, FuchsianOctagon)):
-        return abs(model.curvature_at((0.0, 0.0)))
-    orbit = integrate_geodesic(model, start, T_window, dt)
-    return float(max(abs(model.curvature_at((x, y))) for x, y, _ in orbit.samples))
+        return np.full(len(samples), float(model.curvature_at((0.0, 0.0))))
+    raise TypeError(f"unsupported model {type(model).__name__}")
 
 
 def trapping_surrogate(model, n_dir=256, T_window=50.0, kappa_floor=1e-4,
@@ -293,10 +307,8 @@ def trapping_surrogate(model, n_dir=256, T_window=50.0, kappa_floor=1e-4,
         rng.uniform(0, TWO_PI, n_dir),
     ])
     _, traj = rk4_orbit(model, starts, T_window, dt)   # (n_steps+1, n_dir, 3)
-    xs, ys = traj[..., 0], traj[..., 1]
-    sp = model._get_splines()
-    xw, yw = model.wrap(xs, ys)
-    Kvals = sp["K"](xw.ravel(), yw.ravel(), grid=False).reshape(xs.shape)
+    Kvals = _curvature_samples(model, traj.reshape(-1, 3)).reshape(
+        traj.shape[:-1])
     per_orbit_max = np.max(np.abs(Kvals), axis=0)
     min_max = float(np.min(per_orbit_max))
     return {"trapped_detected": bool(min_max < kappa_floor), "n_dir": n_dir,

@@ -437,16 +437,8 @@ class FuchsianOctagon:
 # dispatch helpers
 
 
-def curvature_at(model, p):
-    return model.curvature_at(p)
-
-
 def build_octagon():
     return FuchsianOctagon()
-
-
-def closed_geodesic_from_word(model, word, n_samples=512):
-    return model.closed_geodesic_from_word(word, n_samples=n_samples)
 
 
 def reduce_to_fundamental_domain(model, p):

@@ -40,6 +40,12 @@ class TestConfigHandling:
         rc, _ = _run(tmp_path, "anosov", {"surface": SPHERE, "tol": -1.0})
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, val", [("dt", 0), ("beta_max", -1)])
+    def test_nonpositive_cocycle_key_rejected(self, tmp_path, key, val):
+        rc, out = _run(tmp_path, "anosov", {"surface": SPHERE, key: val})
+        assert rc == cli.EXIT_CONFIG
+        assert not (out / "anosov_verdict.json").exists()
+
     def test_missing_surface(self, tmp_path):
         rc, _ = _run(tmp_path, "terminator", {})
         assert rc == cli.EXIT_CONFIG
@@ -71,6 +77,13 @@ class TestCommands:
         assert rc == cli.EXIT_OK
         doc = json.loads((out / "anosov_verdict.json").read_text())
         assert doc["verdict"] == "not-Anosov"
+
+    def test_anosov_honours_T_max(self, tmp_path):
+        # K = 1 at beta_max = 64 has its first conjugate point at pi/8
+        rc, out = _run(tmp_path, "anosov", {"surface": SPHERE, "T_max": 0.3})
+        assert rc == cli.EXIT_OK
+        doc = json.loads((out / "anosov_verdict.json").read_text())
+        assert doc["terminator"]["exceeds_beta_max"]
 
     def test_pestov_flat_torus(self, tmp_path):
         cfg = {"surface": FLAT, "n_fields": 2, "n_modes": 3, "grid": 16}

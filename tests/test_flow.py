@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ class TestClosedGeodesics:
             find_closed_geodesics(flat_torus, (0, 0))
 
 
+def _dense_interpolant(K, T, ts):
+    """Reference: the trigonometric interpolant summed with a dense
+    (len(ts), n//2 + 1) phase matrix.  t is reduced modulo T first, since
+    exp(i k w t) at large t carries a rounding error that grows with k w t."""
+    F = np.fft.rfft(K)
+    ks = np.arange(len(F)) * (TWO_PI / T)
+    w = np.ones(len(F))
+    w[1:] = 2.0
+    if len(K) % 2 == 0:
+        w[-1] = 1.0
+    phase = np.exp(1j * np.outer(np.mod(ts, T), ks))
+    return np.real(phase @ (w * F)) / len(K)
+
+
 class TestCurvatureProfiles:
     def test_constant_profile(self):
         prof = CurvatureProfile.constant(-1.0, T=5.0)
@@ -91,6 +107,27 @@ class TestCurvatureProfiles:
         ts = np.linspace(0, 3.0, 23)
         assert np.allclose(prof(ts), fn(ts), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [7, 64, 255, 1800])
+    def test_interpolation_matches_dense_formula(self, n):
+        rng = np.random.default_rng(n)
+        K = 0.1 * rng.standard_normal(n)
+        prof = CurvatureProfile(K, 0.01)
+        ts = rng.uniform(-3 * prof.T, 30 * prof.T, 4000)
+        err = np.max(np.abs(prof(ts) - _dense_interpolant(K, prof.T, ts)))
+        assert err <= 1e-12 * np.max(np.abs(K))
+
+    def test_interpolation_memory_is_linear_in_points(self):
+        rng = np.random.default_rng(0)
+        prof = CurvatureProfile(0.1 * rng.standard_normal(1800), 0.005)
+        ts = np.linspace(0.0, 200.0, 40001)
+        tracemalloc.start()
+        try:
+            prof(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6     # a dense phase matrix would take ~580 MB
+
     def test_profile_along_octagon_geodesic(self, octagon):
         geo = octagon.closed_geodesic_from_word([0])
         prof = curvature_profile_along(octagon, geo)
@@ -101,6 +138,11 @@ class TestCurvatureProfiles:
                                         UnitTangent(0.1, 0.2, 0.5), 10.0)
         assert abs(prof.T - 10.0) <= prof.dt + 1e-12
         assert np.max(np.abs(prof.K_samples)) < 0.3
+        orbit = integrate_geodesic(curved_torus, UnitTangent(0.1, 0.2, 0.5),
+                                   10.0, 5e-3)
+        pointwise = [curved_torus.curvature_at((x, y))
+                     for x, y, _ in orbit.samples]
+        assert np.array_equal(prof.K_samples, pointwise)
 
 
 class TestTrappingSurrogate:
