@@ -52,6 +52,20 @@ def _load_config(path):
     return cfg
 
 
+def _int_key(cfg, key, default, lo, hi=None):
+    """cfg[key] (or the default) as an int in [lo, hi]; an integral float
+    counts as an int."""
+    val = cfg.get(key, default)
+    if (isinstance(val, float) and val.is_integer()
+            and abs(val) <= sys.maxsize):
+        val = int(val)
+    if not (isinstance(val, int) and not isinstance(val, bool) and lo <= val
+            and (hi is None or val <= hi)):
+        bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{key!r} must be an integer {bound}")
+    return val
+
+
 def _config_hash(cfg):
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -180,18 +194,25 @@ def cmd_xray(cfg, out, seed):
     from .geometry import FuchsianOctagon
     from . import xray
 
+    m = _int_key(cfg, "m", 2, 0)
+    n_samples = _int_key(cfg, "n_samples", 512, 1)
+    pool_size = _int_key(cfg, "pool_size", 256, 1)
+    max_word_len = _int_key(cfg, "max_word_len", 6, 1)
+    n_basis = _int_key(cfg, "n_basis", 16, 1, xray.basis_capacity(m))
     model = _surface(cfg)
     if not isinstance(model, FuchsianOctagon):
         raise ConfigError("xray runs on the octagon surface")
-    pool = xray.octagon_geodesic_pool(
-        model, max_len=int(cfg.get("max_word_len", 6)),
-        max_count=int(cfg.get("pool_size", 256)),
-        n_samples=int(cfg.get("n_samples", 512)))
+    pool = xray.octagon_geodesic_pool(model, max_len=max_word_len,
+                                      max_count=pool_size,
+                                      n_samples=n_samples)
+    if len(pool) < n_basis:
+        print(f"error: the geodesic pool holds {len(pool)} geodesics, fewer "
+              f"than the {n_basis} basis tensors", file=sys.stderr)
+        return EXIT_DATA
     report = xray.sinjectivity_experiment(
-        model, int(cfg.get("m", 2)), pool,
-        n_basis=int(cfg.get("n_basis", 16)),
+        model, m, pool, n_basis=n_basis,
         threshold=float(cfg.get("kernel_threshold", 1e-6)),
-        n_samples=int(cfg.get("n_samples", 512)))
+        n_samples=n_samples)
     out.json("xray_report.json", report)
     out.csv("geodesic_pool.csv", ["index", "word", "length"],
             [(i, "".join(map(str, g.word)), g.period)

@@ -16,8 +16,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .geometry import (ClosedGeodesic, ConformalTorus, ConstantCurvature,
-                       FuchsianOctagon, UnitTangent, TWO_PI, mobius,
-                       mobius_deriv, disk_distance0)
+                       FuchsianOctagon, UnitTangent, TWO_PI)
 
 
 @dataclass
@@ -113,32 +112,12 @@ def _rhs(model, states):
 
 
 def _reduce_states(model, states):
-    """Pull octagon chart points back toward the fundamental domain."""
+    """Pull octagon chart points back into the fundamental domain."""
     z = states[..., 0] + 1j * states[..., 1]
-    need = np.abs(z) > 0.82
-    if not np.any(need):
+    if not np.any(np.abs(z) > 0.82):
         return states
-    flat = states.reshape(-1, 3)
-    zf = flat[:, 0] + 1j * flat[:, 1]
-    for _ in range(64):
-        d0 = disk_distance0(zf)
-        best = np.full(len(zf), -1)
-        bestd = d0.copy()
-        for k, g in enumerate(model.disk_generators):
-            dk = disk_distance0(mobius(g, zf))
-            better = dk < bestd - 1e-14
-            best[better] = k
-            bestd[better] = dk[better]
-        if np.all(best < 0):
-            break
-        for k, g in enumerate(model.disk_generators):
-            sel = best == k
-            if np.any(sel):
-                zs = zf[sel]
-                flat[sel, 2] = np.mod(flat[sel, 2] + np.angle(mobius_deriv(g, zs)), TWO_PI)
-                zf[sel] = mobius(g, zs)
-    flat[:, 0], flat[:, 1] = zf.real, zf.imag
-    return flat.reshape(states.shape)
+    zr, theta, _ = model.reduce_batch(z, states[..., 2])
+    return np.stack([zr.real, zr.imag, theta], axis=-1)
 
 
 def rk4_orbit(model, states, T, dt, record=True):

@@ -292,7 +292,7 @@ class FuchsianOctagon:
         return self.word_matrix(self.RELATION)
 
     def wrap(self, x, y):
-        z, _ = self.reduce(x + 1j * y)
+        z, _, _ = self.reduce_batch(np.asarray(x) + 1j * np.asarray(y), 0.0)
         return z.real, z.imag
 
     def lam_and_grad(self, x, y):
@@ -313,32 +313,72 @@ class FuchsianOctagon:
                 return False
         return True
 
+    def reduce_batch(self, z, theta, max_steps=200):
+        """Reduce SM points into the fundamental octagon, all at once.
+
+        Each point steps by the generator that brings it closest to 0 until
+        none brings it closer (by more than 1e-14 in distance).  Returns
+        (z_reduced, theta_reduced, applied): arrays shaped like z, with
+        applied[..., :, :] the composed SU(1,1) element, mobius(applied, z) =
+        z_reduced, and theta_reduced = theta + arg g'(z) of that element,
+        modulo 2 pi.
+        """
+        z = np.asarray(z, dtype=complex)
+        shape = z.shape
+        z0 = z.ravel()
+        if np.any(np.abs(z0) >= 1.0 - 1e-12):
+            raise ValueError("point too close to the boundary circle")
+        gens = np.array(self.disk_generators)                 # (8, 2, 2)
+        g00, g01, g10, g11 = (gens[:, i, j, None]
+                              for i in (0, 1) for j in (0, 1))
+        zr = z0.copy()
+        # the applied element [[a, b], [c, d]], entrywise over the points
+        a = np.ones_like(zr)
+        b = np.zeros_like(zr)
+        c = np.zeros_like(zr)
+        d = np.ones_like(zr)
+        active = np.arange(zr.size)
+        for _ in range(max_steps):
+            za = zr[active]
+            images = (g00 * za + g01) / (g10 * za + g11)     # (8, n_active)
+            moved = disk_distance0(images)
+            k = np.argmin(moved, axis=0)
+            cols = np.arange(za.size)
+            step = moved[k, cols] < disk_distance0(za) - 1e-14
+            active, k, cols = active[step], k[step], cols[step]
+            if not active.size:
+                break
+            zr[active] = images[k, cols]
+            # applied <- g @ applied
+            ga, gb, gc, gd = (gens[k, i, j] for i in (0, 1) for j in (0, 1))
+            aa, bb, cc, dd = a[active], b[active], c[active], d[active]
+            a[active] = ga * aa + gb * cc
+            b[active] = ga * bb + gb * dd
+            c[active] = gc * aa + gd * cc
+            d[active] = gc * bb + gd * dd
+        else:
+            raise RuntimeError("fundamental-domain reduction did not "
+                               "terminate")
+        # g'(z) = 1/(c z + d)^2 = (a - c g(z))^2 for det g = 1; the second
+        # form has no cancellation when z lies near the boundary circle
+        theta = np.mod(np.broadcast_to(theta, shape).ravel()
+                       + np.angle((a - c * zr) ** 2), TWO_PI)
+        applied = np.stack([a, b, c, d], axis=-1).reshape(shape + (2, 2))
+        return zr.reshape(shape), theta.reshape(shape), applied
+
     def reduce(self, z, max_steps=200):
         """Reduce a disk point into the fundamental octagon.
 
         Returns (z_reduced, applied) where applied is the SU(1,1) element with
         mobius(applied, z) = z_reduced.
         """
-        if abs(z) >= 1.0 - 1e-12:
-            raise ValueError("point too close to the boundary circle")
-        applied = np.eye(2, dtype=complex)
-        for _ in range(max_steps):
-            d0 = disk_distance0(z)
-            moved = [disk_distance0(mobius(g, z)) for g in self.disk_generators]
-            k = int(np.argmin(moved))
-            if moved[k] >= d0 - 1e-14:
-                return z, applied
-            g = self.disk_generators[k]
-            z = mobius(g, z)
-            applied = g @ applied
-        raise RuntimeError("fundamental-domain reduction did not terminate")
+        zr, _, g = self.reduce_batch(z, 0.0, max_steps)
+        return zr[()], g
 
     def reduce_tangent(self, z, theta):
         """Reduce an SM point; theta picks up the rotation arg g'(z)."""
-        z0 = z
-        zr, g = self.reduce(z)
-        theta = np.mod(theta + np.angle(mobius_deriv(g, z0)), TWO_PI)
-        return zr, theta, g
+        zr, theta, g = self.reduce_batch(z, theta)
+        return zr[()], theta[()], g
 
     # -- geodesics ----------------------------------------------------------
 
@@ -398,11 +438,8 @@ class FuchsianOctagon:
         T = 2.0 * np.arccosh(tr / 2.0)
         z0, theta0 = self.axis_of(M)
         ts = np.arange(n_samples) * (T / n_samples)
-        zs, ths = self.geodesic_point(z0, theta0, ts)
-        samples = np.empty((n_samples, 3))
-        for i, (z, th) in enumerate(zip(zs, ths)):
-            zr, thr, _ = self.reduce_tangent(z, th)
-            samples[i] = (zr.real, zr.imag, thr)
+        zr, thr, _ = self.reduce_batch(*self.geodesic_point(z0, theta0, ts))
+        samples = np.column_stack([zr.real, zr.imag, thr])
         return ClosedGeodesic(model=self, period=T, samples=samples,
                               dt=T / n_samples, source="octagon-word",
                               word=word, axis=(z0, theta0))
@@ -435,16 +472,6 @@ class FuchsianOctagon:
 
 # ----------------------------------------------------------------------------
 # dispatch helpers
-
-
-def build_octagon():
-    return FuchsianOctagon()
-
-
-def reduce_to_fundamental_domain(model, p):
-    """Reduce a disk point; returns (point, applied SU(1,1) element)."""
-    z = complex(p) if np.isscalar(p) or isinstance(p, complex) else p[0] + 1j * p[1]
-    return model.reduce(z)
 
 
 def surface_from_json(doc):

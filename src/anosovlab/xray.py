@@ -222,19 +222,45 @@ def _chart_nodes(chart, origin=None):
 
 
 def _orbit_samples(geo, n_samples=None):
-    if n_samples is None or len(geo.samples) >= n_samples:
-        return geo.samples, geo.dt
-    if geo.source == "octagon-word" and geo.axis is not None:
-        cache = getattr(geo, "_fine_samples", None)
-        if cache is None:
-            cache = {}
-            geo._fine_samples = cache
-        if n_samples not in cache:
-            fine = geo.model.closed_geodesic_from_word(geo.word,
-                                                       n_samples=n_samples)
-            cache[n_samples] = (fine.samples, fine.dt)
-        return cache[n_samples]
+    """A geodesic's orbit samples and step; an octagon word geodesic with
+    fewer than n_samples stored samples is resampled exactly from its
+    axis."""
+    if (n_samples is not None and len(geo.samples) < n_samples
+            and geo.source == "octagon-word" and geo.axis is not None):
+        fine = geo.model.closed_geodesic_from_word(geo.word,
+                                                   n_samples=n_samples)
+        return fine.samples, fine.dt
     return geo.samples, geo.dt
+
+
+# rows of stacked orbit samples per tensor evaluation: the temporaries of
+# one SymTensorField.eval stay near 1.6 MB, where stacking the whole default
+# pool (131k rows) would take ~20 MB
+_CHUNK_POINTS = 8192
+
+
+def _pool_chunks(pool, n_samples):
+    """The orbit samples of consecutive pool geodesics, stacked into chunks
+    of at most _CHUNK_POINTS rows (an orbit longer than that is a chunk of
+    its own).  Yields (rows, samples, starts, dts): the chunk's pool
+    indices, its stacked (n, 3) samples, each orbit's first row, and each
+    orbit's step."""
+    chunk, size = [], 0
+    for i, geo in enumerate(pool):
+        samples, dt = _orbit_samples(geo, n_samples)
+        if chunk and size + len(samples) > _CHUNK_POINTS:
+            yield _stack_chunk(chunk)
+            chunk, size = [], 0
+        chunk.append((i, samples, dt))
+        size += len(samples)
+    if chunk:
+        yield _stack_chunk(chunk)
+
+
+def _stack_chunk(chunk):
+    rows, samples, dts = zip(*chunk)
+    starts = np.cumsum([0] + [len(s) for s in samples[:-1]])
+    return np.array(rows), np.concatenate(samples), starts, np.array(dts)
 
 
 def ray_transform(f, geo, n_samples=None):
@@ -242,12 +268,33 @@ def ray_transform(f, geo, n_samples=None):
 
     Periodic-trapezoid quadrature at the orbit samples; for octagon word
     geodesics the orbit can be resampled exactly from its axis."""
-    if f.model is not geo.model and type(f.model) is not type(geo.model):
-        raise ValueError("tensor and geodesic live on different models")
+    _check_same_model(f, geo)
     samples, dt = _orbit_samples(geo, n_samples)
     x, y, th = samples[:, 0], samples[:, 1], samples[:, 2]
     vals = f.eval(x, y, th)
     return float(np.real(np.sum(vals) * dt))
+
+
+def ray_transform_matrix(basis, pool, n_samples=None):
+    """G[i, j] = ray_transform(basis[j], pool[i], n_samples).
+
+    Each tensor is evaluated once per chunk of stacked orbits (see
+    _pool_chunks) and summed per orbit."""
+    for f in basis:
+        for geo in pool:
+            _check_same_model(f, geo)
+    G = np.empty((len(pool), len(basis)))
+    for rows, samples, starts, dts in _pool_chunks(pool, n_samples):
+        x, y, th = samples[:, 0], samples[:, 1], samples[:, 2]
+        for j, f in enumerate(basis):
+            G[rows, j] = np.real(np.add.reduceat(f.eval(x, y, th), starts)
+                                 * dts)
+    return G
+
+
+def _check_same_model(f, geo):
+    if f.model is not geo.model and type(f.model) is not type(geo.model):
+        raise ValueError("tensor and geodesic live on different models")
 
 
 def abs_ray_mass(f, geo, n_samples=None):
@@ -328,6 +375,12 @@ def _real_scalar_modes(count, r0):
     return out[:count]
 
 
+def basis_capacity(m):
+    """The largest n_basis sinjectivity_experiment can build for degree m:
+    each family (potential, free) has 49 distinct windowed modes."""
+    return 49 if m == 0 else 98
+
+
 def _potential_basis(model, m, count, r0):
     """Real potential tensors dh for degree-(m-1) tensors h with a single
     conjugate mode pair (or mode 0 for m=1)."""
@@ -368,6 +421,12 @@ def tensor_inner(f, g, chart):
     return complex(acc)
 
 
+def _values_inner(fv, gv, chart):
+    """tensor_inner on mode values already taken at the chart nodes (one
+    grid per vertical mode, the same modes in the same order)."""
+    return sum(chart.inner(a, b) for a, b in zip(fv, gv))
+
+
 def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
                             n_samples=1024, chart=None):
     """Numerical kernel of the ray transform on a mixed tensor basis.
@@ -392,10 +451,7 @@ def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
                  + _nonpotential_basis(model, m, n_basis - n_pot, r0))
         kinds = ["potential"] * n_pot + ["free"] * (n_basis - n_pot)
 
-    G = np.empty((len(pool), n_basis))
-    for j, f in enumerate(basis):
-        for i, geo in enumerate(pool):
-            G[i, j] = ray_transform(f, geo, n_samples=n_samples)
+    G = ray_transform_matrix(basis, pool, n_samples)
     # column scales so the SVD compares tensors of comparable size
     scales = np.array([np.sqrt(abs(tensor_inner(f, f, chart)))
                        for f in basis])
@@ -405,27 +461,27 @@ def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
     kernel = [Vt[i] / scales for i in range(len(S))
               if S[i] <= threshold * sig_max]
 
-    # potential dictionary for the projection test (wider than the basis)
-    if m >= 1:
-        dictionary = _potential_basis(model, m, min(12, 2 * (n_basis // 2)),
-                                      r0)
-    else:
-        dictionary = []
+    # potential dictionary for the projection test (wider than the basis):
+    # its chart values and Gram matrix serve every kernel vector
+    xs, ys = _chart_nodes(chart)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    ks = range(-m, m + 1, 2)
+    dictionary = []
+    if m >= 1 and kernel:
+        dictionary = [[d.mode_values(k, X, Y) for k in ks]
+                      for d in _potential_basis(
+                          model, m, min(12, 2 * (n_basis // 2)), r0)]
+    A = np.array([[_values_inner(di, dj, chart) for dj in dictionary]
+                  for di in dictionary])
     resid = 0.0
     for v in kernel:
-        xs, ys = _chart_nodes(chart)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        fk = {k: sum(v[j] * basis[j].mode_values(k, X, Y)
-                     for j in range(n_basis))
-              for k in range(-m, m + 1, 2)}
-        nrm2 = sum(chart.norm2(g) for g in fk.values())
+        fk = [sum(v[j] * basis[j].mode_values(k, X, Y)
+                  for j in range(n_basis)) for k in ks]
+        nrm2 = sum(chart.norm2(g) for g in fk)
         if nrm2 <= 0 or not dictionary:
             continue
         # least-squares projection onto span{dh}
-        A = np.array([[tensor_inner(di, dj, chart) for dj in dictionary]
-                      for di in dictionary])
-        b = np.array([sum(chart.inner(fk[k], di.mode_values(k, X, Y))
-                          for k in fk) for di in dictionary])
+        b = np.array([_values_inner(fk, di, chart) for di in dictionary])
         coef = np.linalg.lstsq(A, b, rcond=1e-12)[0]
         proj2 = float(np.real(np.vdot(coef, b)))
         resid = max(resid, np.sqrt(max(nrm2 - proj2, 0.0) / nrm2))

@@ -130,6 +130,21 @@ class TestCommands:
         assert doc["kernel_dim"] == 0
         assert (out / "geodesic_pool.csv").exists()
 
+    def test_xray_pool_smaller_than_basis(self, tmp_path):
+        cfg = {"surface": OCTAGON, "pool_size": 8, "max_word_len": 3}
+        rc, out = _run(tmp_path, "xray", cfg)
+        assert rc == cli.EXIT_DATA
+        assert not (out / "xray_report.json").exists()
+
+    @pytest.mark.parametrize("key, val", [
+        ("n_samples", 0), ("m", -1), ("pool_size", 0), ("max_word_len", 0),
+        ("n_basis", 0), ("n_basis", 99), ("n_basis", 2.5), ("m", "2"),
+        ("pool_size", True)])
+    def test_xray_bad_integer_key_rejected(self, tmp_path, key, val):
+        rc, out = _run(tmp_path, "xray", {"surface": OCTAGON, key: val})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
     def test_xray_requires_octagon(self, tmp_path):
         rc, _ = _run(tmp_path, "xray", {"surface": FLAT})
         assert rc == cli.EXIT_CONFIG

@@ -5,10 +5,31 @@ from hypothesis import given, settings, strategies as st
 from anosovlab.geometry import (ConformalTorus, ConstantCurvature,
                                 FuchsianOctagon, mobius, mobius_deriv,
                                 disk_distance, disk_distance0,
-                                surface_from_json, build_octagon,
-                                reduce_to_fundamental_domain)
+                                surface_from_json)
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
+
+
+def _reduce_oracle(model, z, theta, max_steps=200):
+    """The per-point reduction loop that reduce_batch replaced: reference
+    for its results."""
+    z0 = z
+    if abs(z) >= 1.0 - 1e-12:
+        raise ValueError("point too close to the boundary circle")
+    applied = np.eye(2, dtype=complex)
+    for _ in range(max_steps):
+        d0 = disk_distance0(z)
+        moved = [disk_distance0(mobius(g, z)) for g in model.disk_generators]
+        k = int(np.argmin(moved))
+        if moved[k] >= d0 - 1e-14:
+            theta = np.mod(theta + np.angle(mobius_deriv(applied, z0)),
+                           TWO_PI)
+            return z, theta, applied
+        g = model.disk_generators[k]
+        z = mobius(g, z)
+        applied = g @ applied
+    raise RuntimeError("fundamental-domain reduction did not terminate")
 
 
 # ----------------------------------------------------------------------------
@@ -122,8 +143,52 @@ class TestOctagon:
             assert abs(mobius(g, z) - zr) < 1e-9
 
     def test_reduce_dispatch_helper(self, octagon):
-        zr, g = reduce_to_fundamental_domain(octagon, 0.2 + 0.1j)
+        zr, g = octagon.reduce(0.2 + 0.1j)
         assert zr == 0.2 + 0.1j  # already inside
+
+    @given(st.lists(st.tuples(
+               st.lists(st.integers(0, 7), max_size=6),
+               st.floats(0.0, 0.6), st.floats(0.0, TWO_PI),
+               st.floats(0.0, TWO_PI)), min_size=1, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_batch_matches_oracle(self, octagon, cases):
+        # words of length <= 6 applied to interior points, reduced in one
+        # batch; the reduction is ill-conditioned near the boundary circle
+        # (a rounding of z moves the result by ~eps / (1 - |z|)), so two
+        # loops that round differently agree to 1e-9 plus that term
+        zs, thetas = [], []
+        for word, r, phi, theta in cases:
+            z = r * np.exp(1j * phi)
+            for k in word:
+                z = mobius(octagon.disk_generators[k], z)
+            zs.append(z)
+            thetas.append(theta)
+        zs, thetas = np.array(zs), np.array(thetas)
+        zr, thr, applied = octagon.reduce_batch(zs, thetas)
+        assert zr.shape == thr.shape == zs.shape
+        assert applied.shape == zs.shape + (2, 2)
+        tol = 1e-9 + 16 * EPS / (1.0 - np.abs(zs))
+        for i, (z, th) in enumerate(zip(zs, thetas)):
+            oz, oth, _ = _reduce_oracle(octagon, z, th)
+            assert octagon.contains(zr[i], margin=1e-9)
+            assert abs(mobius(applied[i], z) - zr[i]) <= tol[i]
+            assert abs(zr[i] - oz) <= tol[i]
+            assert abs(np.angle(np.exp(1j * (thr[i] - oth)))) <= tol[i]
+            assert 0.0 <= thr[i] < TWO_PI
+
+    def test_reduce_batch_rejects_boundary_point(self, octagon):
+        zs = np.array([0.1 + 0.2j, 0.5, 1.0 - 1e-13, -0.3j])
+        with pytest.raises(ValueError):
+            octagon.reduce_batch(zs, np.zeros(4))
+
+    def test_reduce_batch_step_cap(self, octagon):
+        z = 0.3
+        for k in (0, 1, 2, 3):
+            z = mobius(octagon.disk_generators[k], z)
+        with pytest.raises(RuntimeError):
+            octagon.reduce_batch(np.array([0.1, z]), np.zeros(2), max_steps=2)
+        zr, _, _ = octagon.reduce_batch(np.array([0.1, z]), np.zeros(2))
+        assert abs(zr[1] - 0.3) < 1e-9
 
     def test_translation_length_closed_form(self, octagon):
         assert np.isclose(octagon.translation_length,
@@ -175,6 +240,3 @@ class TestSurfaceJson:
     def test_unknown_type_raises(self):
         with pytest.raises(ValueError):
             surface_from_json({"type": "nope"})
-
-    def test_build_octagon_helper(self):
-        assert isinstance(build_octagon(), FuchsianOctagon)

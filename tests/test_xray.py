@@ -80,12 +80,31 @@ class TestRayTransform:
                 val = xray.ray_transform(dh, geo, n_samples=1024)
                 assert abs(val) <= 1e-8 * mass
 
+    @pytest.mark.parametrize("n_samples", [None, 1024])
+    def test_matrix_matches_per_geodesic(self, octagon, small_pool,
+                                         n_samples):
+        # 20 orbits of 512 stored samples fill two chunks; at 1024 samples
+        # every orbit is resampled and they fill three
+        basis = (xray._potential_basis(octagon, 2, 2, 0.57)
+                 + xray._nonpotential_basis(octagon, 2, 2, 0.57))
+        pool = small_pool[:20]
+        assert len(list(xray._pool_chunks(pool, n_samples))) == \
+            (2 if n_samples is None else 3)
+        G = xray.ray_transform_matrix(basis, pool, n_samples)
+        for i, geo in enumerate(pool):
+            for j, f in enumerate(basis):
+                ref = xray.ray_transform(f, geo, n_samples=n_samples)
+                mass = xray.abs_ray_mass(f, geo, n_samples=n_samples)
+                assert abs(G[i, j] - ref) <= 1e-12 * max(1.0, mass)
+
     def test_model_mismatch_raises(self, flat_torus, small_pool):
         ch = sf.Chart.from_torus(flat_torus)
         u = sf.SMField(ch, {0: np.ones((ch.nx, ch.ny))})
         f = xray.SymTensorField.from_smfield(flat_torus, 0, u)
         with pytest.raises(ValueError):
             xray.ray_transform(f, small_pool[0])
+        with pytest.raises(ValueError):
+            xray.ray_transform_matrix([f], small_pool[:2])
 
 
 class TestSolenoidal:
