@@ -224,23 +224,23 @@ def cmd_invariant(cfg, out, seed):
     from .geometry import FuchsianOctagon, ConformalTorus
     from . import smfourier as sf
 
-    model = _surface(cfg)
     variant = cfg.get("variant", "w0")
-    n_modes = int(cfg.get("n_modes", 10))
-    reg = float(cfg.get("reg", 1e-12))
-    rng = np.random.default_rng(seed)
     if variant != "w0":
         raise ConfigError("only variant 'w0' is exposed on the CLI; use the "
                           "library for w1/wm data preparation")
+    # n_modes >= 3: with 2 the interior ladder set holds only k = 0, where
+    # the residual is identically zero; grid >= 2 band + 1 resolves the data
+    n_modes = _int_key(cfg, "n_modes", 10, 3)
+    band = _int_key(cfg, "spatial_band", 2, 0)
+    grid = _int_key(cfg, "grid", 48, 2 * band + 1)
+    model = _surface(cfg)
+    reg = float(cfg.get("reg", 1e-12))
+    rng = np.random.default_rng(seed)
     if isinstance(model, FuchsianOctagon):
-        f = sf.octagon_mode0_field(model, rng=rng,
-                                   spatial_band=int(cfg.get("spatial_band", 2)),
-                                   n=int(cfg.get("grid", 48)))
+        f = sf.octagon_mode0_field(model, rng=rng, spatial_band=band, n=grid)
     elif isinstance(model, ConformalTorus):
-        ch = sf.Chart.from_torus(model, int(cfg.get("grid", 48)))
-        u = sf.SMField.random_real(ch, n_modes=0,
-                                   spatial_band=int(cfg.get("spatial_band", 2)),
-                                   rng=rng)
+        ch = sf.Chart.from_torus(model, grid)
+        u = sf.SMField.random_real(ch, n_modes=0, spatial_band=band, rng=rng)
         f = sf.SMField(ch, {0: u.get(0)})
     else:
         raise ConfigError(f"unsupported surface {type(model).__name__}")
@@ -259,7 +259,9 @@ def cmd_invariant(cfg, out, seed):
         "interior_ladder_relative": rel,
         "w_norm": diag["w_norm"],
         "mode_decay_slope": diag["mode_decay_slope"],
-        "solver_residual": diag["solver_residual"]})
+        "solver_residual": diag["solver_residual"],
+        "solver_istop": diag["solver_istop"],
+        "solver_iterations": diag["solver_iterations"]})
     if rel > tol:
         print(f"error: solver residual {rel:.3e} above tolerance {tol:.1e}",
               file=sys.stderr)

@@ -460,6 +460,12 @@ class _LadderOperator:
     "X" is plain X with prescribed-mode holes (used by invariant_extension:
     unknowns are the free modes, fixed modes enter the right-hand side).
     Input band: modes in ``in_ks``; output band: modes in ``out_ks``.
+
+    Fields are stacks of shape (n_modes, nx, ny), one row per mode of the
+    band, so each product is one fft2 and one ifft2 over a whole stack.  The
+    ladder neighbours of each mode are gathered by index arrays; a missing
+    neighbour (a hole in the band, or an output below ``T_floor``) points at
+    the zero row appended to the gathered stack.
     """
 
     def __init__(self, chart, in_ks, out_ks, V_power=1, T_floor=None):
@@ -471,163 +477,176 @@ class _LadderOperator:
         self.ngrid = chart.nx * chart.ny
         self.shape = (2 * len(self.out_ks) * self.ngrid,
                       2 * len(self.in_ks) * self.ngrid)
+        n_in, n_out = len(self.in_ks), len(self.out_ks)
+        ipos = {k: i for i, k in enumerate(self.in_ks)}
+        opos = {k: a for a, k in enumerate(self.out_ks)
+                if self.T_floor is None or abs(k) >= self.T_floor}
+        # Neighbour rows, the k-1 side first and the k+1 side second:
+        # out-mode k reads in-modes k-1 and k+1, in-mode k is read by
+        # out-modes k+1 and k-1.  Index n_in (n_out) is the zero row.
+        self._fwd_nbr = np.array(
+            [ipos.get(k - 1, n_in) if k in opos else n_in for k in self.out_ks]
+            + [ipos.get(k + 1, n_in) if k in opos else n_in
+               for k in self.out_ks], dtype=int)
+        self._adj_nbr = np.array([opos.get(k + 1, n_out) for k in self.in_ks]
+                                 + [opos.get(k - 1, n_out) for k in self.in_ks],
+                                 dtype=int)
+        ks_out = np.array(self.out_ks, dtype=float)[:, None, None]
+        ks_in = np.array(self.in_ks, dtype=float)[:, None, None]
+        self._vmul = 1j * ks_in if V_power else None
+        SZ = 0.5 * (chart._ikx - 1j * chart._iky)   # symbols of dz, dbar
+        SB = 0.5 * (chart._ikx + 1j * chart._iky)
+        self._fwd_symbol = np.stack([SZ, SB])[:, None]
+        self._adj_symbol = np.stack([SB, SZ])[:, None]
+        # pointwise parts of eta_+/- and of their adjoints, signed so that
+        # each side is (transformed part) + coefficient * neighbour
+        self._fwd_coef = np.concatenate([-(ks_out - 1) * chart.dz_lam,
+                                         (ks_out + 1) * chart.dbar_lam])
+        self._adj_coef = np.concatenate(
+            [-(ks_in * np.conj(chart.dz_lam) * chart.emlam),
+             ks_in * np.conj(chart.dbar_lam) * chart.emlam])
 
-    # real <-> complex packing (lsqr works on real vectors)
-    def _unpack(self, x, ks):
-        n = self.ngrid
-        fields = {}
-        for i, k in enumerate(ks):
-            blk = x[2 * i * n:2 * (i + 1) * n]
-            fields[k] = (blk[:n] + 1j * blk[n:]).reshape(self.ch.nx, self.ch.ny)
-        return fields
-
-    def _pack(self, fields, ks):
-        n = self.ngrid
-        out = np.empty(2 * len(ks) * n)
-        for i, k in enumerate(ks):
-            f = fields.get(k)
-            if f is None:
-                out[2 * i * n:2 * (i + 1) * n] = 0.0
-            else:
-                fl = f.ravel()
-                out[2 * i * n:2 * i * n + n] = fl.real
-                out[2 * i * n + n:2 * (i + 1) * n] = fl.imag
+    # real <-> complex packing (lsqr works on real vectors): mode i owns
+    # block i of x, its real part then its imaginary part
+    def _unpack(self, x):
+        blocks = x.reshape(-1, 2, self.ch.nx, self.ch.ny)
+        out = np.empty((len(blocks), self.ch.nx, self.ch.ny), dtype=complex)
+        out.real = blocks[:, 0]
+        out.imag = blocks[:, 1]
         return out
 
-    def _vmul(self, k):
-        if self.V_power == 0:
-            return 1.0
-        return 1j * k
+    @staticmethod
+    def _pack(stack):
+        out = np.empty((len(stack), 2) + stack.shape[1:])
+        out[:, 0] = stack.real
+        out[:, 1] = stack.imag
+        return out.ravel()
 
-    def forward_fields(self, h):
-        """A applied to mode dict h (whitened in/out)."""
-        ch = self.ch
-        vh = {k: self._vmul(k) * (f / ch.sqrt_w) for k, f in h.items()}
-        out = {}
-        for k in self.out_ks:
-            if self.T_floor is not None and abs(k) < self.T_floor:
-                continue
-            acc = np.zeros((ch.nx, ch.ny), dtype=complex)
-            if (k - 1) in vh:
-                acc += eta("+", k - 1, vh[k - 1], ch)
-            if (k + 1) in vh:
-                acc += eta("-", k + 1, vh[k + 1], ch)
-            out[k] = acc * ch.sqrt_w
-        return out
+    @staticmethod
+    def _with_zero_row(stack):
+        return np.concatenate([stack, np.zeros((1,) + stack.shape[1:],
+                                               dtype=stack.dtype)])
 
-    def adjoint_fields(self, g):
-        """Exact discrete adjoint of forward_fields."""
-        ch = self.ch
-        out = {}
-        for k in self.in_ks:
-            acc = np.zeros((ch.nx, ch.ny), dtype=complex)
-            kk = k + 1
-            if kk in self.out_ks and (self.T_floor is None or abs(kk) >= self.T_floor) \
-                    and kk in g:
-                # adjoint of eta("+", k, .) in unweighted l2:
-                #   g -> -dbar(e^{-lam} g) - k conj(dz_lam) e^{-lam} g
-                t = ch.sqrt_w * g[kk]
-                acc += -ch.dbar(ch.emlam * t) - k * np.conj(ch.dz_lam) * ch.emlam * t
-            kk = k - 1
-            if kk in self.out_ks and (self.T_floor is None or abs(kk) >= self.T_floor) \
-                    and kk in g:
-                # adjoint of eta("-", k, .):
-                #   g -> -dz(e^{-lam} g) + k conj(dbar_lam) e^{-lam} g
-                t = ch.sqrt_w * g[kk]
-                acc += -ch.dz(ch.emlam * t) + k * np.conj(ch.dbar_lam) * ch.emlam * t
-            out[k] = np.conj(self._vmul(k)) * acc / ch.sqrt_w
-        return out
+    # Complex products below keep the operand order of a per-mode loop.  A
+    # complex product with fused multiply-adds is not bitwise commutative,
+    # and numpy swaps the operands of ``a * b`` when it reuses a large
+    # temporary b as the output; hence np.multiply where b is a temporary.
+
+    def _spectral(self, src, nbr, symbol):
+        """ifft2(symbol * fft2(src)[nbr]) with rows [0, n) on the k-1 side
+        and [n, 2n) on the k+1 side.  The two sides are transformed apart
+        and summed afterwards, in the order of a per-mode eta loop, so the
+        products round exactly as mode by mode."""
+        F = self._with_zero_row(np.fft.fft2(src, axes=(-2, -1)))
+        n, grid = len(nbr) // 2, F.shape[1:]
+        Fn = np.multiply(symbol, F[nbr].reshape((2, n) + grid))
+        return np.fft.ifft2(Fn.reshape((2 * n,) + grid), axes=(-2, -1))
+
+    def _forward(self, h):
+        """A applied to the in-mode stack h (whitened in/out)."""
+        ch, nbr = self.ch, self._fwd_nbr
+        vh = h / ch.sqrt_w
+        if self._vmul is not None:
+            vh = self._vmul * vh
+        d = self._spectral(vh, nbr, self._fwd_symbol)
+        p = np.multiply(self._fwd_coef, self._with_zero_row(vh)[nbr])
+        eta_pm = ch.emlam * (d + p)
+        n = len(self.out_ks)
+        return (eta_pm[:n] + eta_pm[n:]) * ch.sqrt_w
+
+    def _adjoint(self, g):
+        """Exact discrete adjoint of _forward.  In unweighted l2 the adjoint
+        of eta("+", k, .) is g -> -dbar(e^{-lam} g) - k conj(dz_lam) e^{-lam} g
+        and that of eta("-", k, .) is g -> -dz(e^{-lam} g) + k conj(dbar_lam)
+        e^{-lam} g."""
+        ch, nbr = self.ch, self._adj_nbr
+        t = ch.sqrt_w * g
+        d = self._spectral(ch.emlam * t, nbr, self._adj_symbol)
+        adj_pm = -d + np.multiply(self._adj_coef, self._with_zero_row(t)[nbr])
+        n = len(self.in_ks)
+        acc = adj_pm[:n] + adj_pm[n:]
+        if self._vmul is not None:
+            acc = np.conj(self._vmul) * acc
+        return acc / ch.sqrt_w
 
     def matvec(self, x):
-        return self._pack(self.forward_fields(self._unpack(x, self.in_ks)),
-                          self.out_ks)
+        return self._pack(self._forward(self._unpack(x)))
 
     def rmatvec(self, x):
-        return self._pack(self.adjoint_fields(self._unpack(x, self.out_ks)),
-                          self.in_ks)
-
-    def as_linear_operator(self):
-        from scipy.sparse.linalg import LinearOperator
-        return LinearOperator(self.shape, matvec=self.matvec,
-                              rmatvec=self.rmatvec)
+        return self._pack(self._adjoint(self._unpack(x)))
 
     # -- flat-symbol right preconditioner -----------------------------------
     # In Fourier space the flat-metric version of A is block-diagonal over
     # spatial frequencies (a small bidiagonal mode-coupling matrix B(xi) per
     # frequency).  Preconditioning with the full-rank Hermitian
-    # N(xi) = (B^H B + eps I)^{-1/2} clusters the singular values of A N, so
-    # lsqr converges in tens of iterations instead of thousands; eps is tied
-    # to the size of the curvature terms (which dominate A where the flat
-    # symbol degenerates, e.g. at xi = 0).
+    # N(xi) = (B^H B + eps I)^{-1/2} clusters the singular values of A N;
+    # eps is tied to the size of the curvature terms (which dominate A where
+    # the flat symbol degenerates, e.g. at xi = 0).  lsqr still runs to its
+    # iteration cap: on octagon data (n_modes 10, 48^2) the interior ladder
+    # residual is ~1e-3 of ||w|| after 400 iterations and ~2e-8 after 800,
+    # where it stalls, and atol = btol = 1e-14 is never met (istop 7).
 
     def _build_precond(self):
+        evals, evecs = self._flat_eigh()
+        inv_sqrt = evecs * (evals ** -0.5)[..., None, :]
+        # Hermitian by construction, so it is also its own adjoint
+        self._M = inv_sqrt @ np.conj(np.swapaxes(evecs, -1, -2))
+
+    def _flat_eigh(self):
+        """Eigen-decomposition of B(xi)^H B(xi) + eps I at every frequency
+        (a helper of its own, so that B and B^H B are freed before N(xi) is
+        assembled)."""
         ch = self.ch
-        SZ = np.broadcast_to(0.5 * (ch._ikx - 1j * ch._iky),
-                             (ch.nx, ch.ny))
-        SB = np.broadcast_to(0.5 * (ch._ikx + 1j * ch._iky),
-                             (ch.nx, ch.ny))
+        symbols = np.broadcast_to(self._fwd_symbol[:, 0], (2, ch.nx, ch.ny))
         elam = np.exp(-np.mean(ch.lam))
-        n_in = len(self.in_ks)
-        ipos = {k: i for i, k in enumerate(self.in_ks)}
-        n_out = len(self.out_ks)
+        n_in, n_out = len(self.in_ks), len(self.out_ks)
+        vmul = [1j * k if self.V_power else 1.0 for k in self.in_ks]
         B = np.zeros((ch.nx, ch.ny, n_out, n_in), dtype=complex)
-        for a, k in enumerate(self.out_ks):
-            if self.T_floor is not None and abs(k) < self.T_floor:
-                continue
-            if k - 1 in ipos:
-                B[..., a, ipos[k - 1]] = elam * SZ * self._vmul(k - 1)
-            if k + 1 in ipos:
-                B[..., a, ipos[k + 1]] = elam * SB * self._vmul(k + 1)
-        Bh = np.conj(np.swapaxes(B, -1, -2))
-        G = Bh @ B
+        for r, i in enumerate(self._fwd_nbr):
+            if i < n_in:        # row r: side r // n_out of out-mode r % n_out
+                B[..., r % n_out, i] = elam * symbols[r // n_out] * vmul[i]
+        G = np.conj(np.swapaxes(B, -1, -2)) @ B
         kmax = max((abs(k) for k in self.in_ks), default=1) or 1
         grad_scale = float(np.mean(np.abs(ch.dz_lam))) * elam * kmax
         eps = max(grad_scale ** 2, 1e-12 * max(float(np.abs(G).max()), 1.0))
-        evals, evecs = np.linalg.eigh(G + eps * np.eye(n_in))
-        inv_sqrt = evecs * (evals ** -0.5)[..., None, :]
-        self._M = inv_sqrt @ np.conj(np.swapaxes(evecs, -1, -2))
-        self._Mh = self._M                       # Hermitian by construction
+        return np.linalg.eigh(G + eps * np.eye(n_in))
 
-    def _apply_fourier_blocks(self, x, mats, ks_from, ks_to):
-        fin = self._unpack(x, ks_from)
-        stack = np.stack([np.fft.fft2(fin[k]) for k in ks_from], axis=-1)
-        out = np.einsum("xyij,xyj->xyi", mats, stack)
-        fields = {k: np.fft.ifft2(out[..., i]) for i, k in enumerate(ks_to)}
-        return self._pack(fields, ks_to)
+    def _precondition(self, h):
+        """N(xi) applied frequency by frequency to the in-mode stack h."""
+        Y = np.fft.fft2(h, axes=(-2, -1))
+        return np.fft.ifft2(np.einsum("xyij,jxy->ixy", self._M, Y),
+                            axes=(-2, -1))
 
     def solve(self, rhs_fields, reg=1e-10, iter_lim=400):
-        """Min-norm damped least squares A h = rhs (whitened internally)."""
+        """Min-norm damped least squares A h = rhs (whitened internally).
+
+        Returns the mode dict h, the relative residual, and lsqr's stop
+        reason ``istop`` and iteration count."""
         from scipy.sparse.linalg import lsqr, LinearOperator
 
         ch = self.ch
-        b = self._pack({k: f * ch.sqrt_w for k, f in rhs_fields.items()},
-                       self.out_ks)
+        rhs = np.zeros((len(self.out_ks), ch.nx, ch.ny), dtype=complex)
+        for a, k in enumerate(self.out_ks):
+            if k in rhs_fields:
+                rhs[a] = rhs_fields[k] * ch.sqrt_w
         self._build_precond()
 
         def mv(y):
-            return self.matvec(self._apply_fourier_blocks(y, self._M,
-                                                          self.in_ks, self.in_ks))
+            return self.matvec(self._pack(self._precondition(self._unpack(y))))
 
         def rmv(x):
-            return self._apply_fourier_blocks(self.rmatvec(x), self._Mh,
-                                              self.in_ks, self.in_ks)
+            return self._pack(self._precondition(self._unpack(self.rmatvec(x))))
 
         AM = LinearOperator(self.shape, matvec=mv, rmatvec=rmv)
-        res = lsqr(AM, b, damp=np.sqrt(reg), atol=1e-14, btol=1e-14,
-                   iter_lim=iter_lim)
-        hx = self._apply_fourier_blocks(res[0], self._M, self.in_ks, self.in_ks)
-        h = self._unpack(hx, self.in_ks)
-        h = {k: f / ch.sqrt_w for k, f in h.items()}
-        resid = self.forward_fields({k: f * ch.sqrt_w for k, f in h.items()})
+        res = lsqr(AM, self._pack(rhs), damp=np.sqrt(reg), atol=1e-14,
+                   btol=1e-14, iter_lim=iter_lim)
+        h = self._precondition(self._unpack(res[0])) / ch.sqrt_w
         # relative residual norm in the weighted inner product
-        r2, b2 = 0.0, 0.0
-        for k in self.out_ks:
-            rhs = rhs_fields.get(k)
-            rhs = rhs * ch.sqrt_w if rhs is not None else 0.0
-            d = resid.get(k, 0.0) - rhs
-            r2 += float(np.sum(np.abs(d) ** 2))
-            b2 += float(np.sum(np.abs(rhs) ** 2))
-        return h, np.sqrt(r2 / max(b2, 1e-300))
+        d = self._forward(h * ch.sqrt_w) - rhs
+        r2 = sum(float(np.sum(np.abs(dk) ** 2)) for dk in d)
+        b2 = sum(float(np.sum(np.abs(bk) ** 2)) for bk in rhs)
+        return (dict(zip(self.in_ks, h)), np.sqrt(r2 / max(b2, 1e-300)),
+                int(res[1]), int(res[2]))
 
 
 def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
@@ -652,8 +671,8 @@ def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
     else:
         out_ks = [k for k in range(-N - 1, N + 2) if abs(k) >= m + 1]
         op = _LadderOperator(ch, in_ks, out_ks, V_power=1, T_floor=m + 1)
-    h, resid = op.solve({k: f.get(k) for k in f.modes}, reg=reg,
-                        iter_lim=iter_lim)
+    h, resid, _, _ = op.solve({k: f.get(k) for k in f.modes}, reg=reg,
+                              iter_lim=iter_lim)
     return SMField(ch, h, N), resid
 
 
@@ -687,7 +706,9 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
 
     The free modes minimize ||Xw|| (ridge-regularized least squares); the
     prescribed modes are matched exactly by construction.  Returns (w, diag)
-    with the interior ladder residuals and the mode-decay slope."""
+    with the interior ladder residuals, the mode-decay slope, and lsqr's stop
+    reason ``solver_istop`` and ``solver_iterations`` (None and 0 when no
+    mode is free)."""
     if variant == "w0":
         f = data
         ch = f.chart
@@ -730,10 +751,11 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
         if np.any(acc):
             rhs[k] = -acc
     if free:
-        h, resid = op.solve(rhs, reg=reg,
-                            iter_lim=iter_lim or max(400, 100 * n_modes))
+        h, resid, istop, itn = op.solve(
+            rhs, reg=reg, iter_lim=iter_lim or max(400, 100 * n_modes))
     else:
         h, resid = {}, np.sqrt(sum(ch.norm2(v) for v in rhs.values()))
+        istop, itn = None, 0
     w = SMField(ch, {**fixed, **h}, n_modes)
     lad = ladder_residual(w)
     interior = {k: v["residual"] for k, v in lad.items()
@@ -748,7 +770,8 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
     slope = float(np.polyfit(ks, ns, 1)[0]) if len(ks) > 1 else 0.0
     diag = {"solver_residual": resid, "ladder": lad,
             "interior_max": max(interior.values()) if interior else 0.0,
-            "w_norm": norm(w), "mode_decay_slope": slope}
+            "w_norm": norm(w), "mode_decay_slope": slope,
+            "solver_istop": istop, "solver_iterations": itn}
     return w, diag
 
 

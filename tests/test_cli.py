@@ -121,6 +121,23 @@ class TestCommands:
         rc, out = _run(tmp_path, "invariant", cfg)
         assert rc == cli.EXIT_SOLVER
 
+    def test_invariant_reports_solver_stop(self, tmp_path):
+        cfg = {"surface": OCTAGON, "n_modes": 4, "grid": 24}
+        rc, out = _run(tmp_path, "invariant", cfg)
+        assert rc in (cli.EXIT_OK, cli.EXIT_SOLVER)
+        doc = json.loads((out / "invariant_report.json").read_text())
+        assert doc["solver_istop"] in range(8)
+        # the iteration cap of invariant_extension: max(400, 100 n_modes)
+        assert 1 <= doc["solver_iterations"] <= 400
+
+    @pytest.mark.parametrize("bad", [
+        {"n_modes": 2}, {"n_modes": "3"}, {"spatial_band": -1},
+        {"grid": 0}, {"grid": 4}, {"spatial_band": 30}, {"grid": 48.5}])
+    def test_invariant_bad_key_rejected(self, tmp_path, bad):
+        rc, out = _run(tmp_path, "invariant", {"surface": OCTAGON, **bad})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
     def test_xray_small_pool(self, tmp_path):
         cfg = {"surface": OCTAGON, "m": 0, "max_word_len": 4,
                "pool_size": 48, "n_basis": 8, "n_samples": 512}
@@ -158,6 +175,15 @@ class TestDeterminism:
         assert rc1 == rc2 == cli.EXIT_OK
         assert (out1 / "anosov_verdict.json").read_bytes() == \
                (out2 / "anosov_verdict.json").read_bytes()
+
+    def test_invariant_same_seed_same_output(self, tmp_path):
+        cfg = {"surface": OCTAGON, "n_modes": 4, "grid": 24}
+        rc1, out1 = _run(tmp_path, "invariant", cfg, seed=3, sub="a")
+        rc2, out2 = _run(tmp_path, "invariant", cfg, seed=3, sub="b")
+        assert rc1 == rc2
+        for name in ("invariant_report.json", "invariant_modes.csv",
+                     "ladder_residuals.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_recorded(self, tmp_path):
         rc, out = _run(tmp_path, "terminator", {"surface": SPHERE}, seed=42)

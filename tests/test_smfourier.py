@@ -197,6 +197,76 @@ class TestTransportSolve:
             sf.solve_adjoint_transport(f, m=0)
 
 
+def _eta_loop_forward(op, h):
+    """The ladder operator mode by mode: a per-mode eta loop over the mode
+    dict h (whitened in and out), kept here as an oracle."""
+    ch = op.ch
+    vh = {k: (1j * k if op.V_power else 1.0) * (f / ch.sqrt_w)
+          for k, f in h.items()}
+    out = {}
+    for k in op.out_ks:
+        acc = np.zeros((ch.nx, ch.ny), dtype=complex)
+        if op.T_floor is None or abs(k) >= op.T_floor:
+            if k - 1 in vh:
+                acc += sf.eta("+", k - 1, vh[k - 1], ch)
+            if k + 1 in vh:
+                acc += sf.eta("-", k + 1, vh[k + 1], ch)
+        out[k] = acc * ch.sqrt_w
+    return out
+
+
+def _pack(fields, ks):
+    """lsqr's layout: mode by mode, the real part then the imaginary part."""
+    return np.concatenate([np.concatenate([fields[k].real.ravel(),
+                                           fields[k].imag.ravel()])
+                           for k in ks])
+
+
+def _unpack(x, ks, shape):
+    n = shape[0] * shape[1]
+    return {k: (x[2 * i * n:(2 * i + 1) * n]
+                + 1j * x[(2 * i + 1) * n:(2 * i + 2) * n]).reshape(shape)
+            for i, k in enumerate(ks)}
+
+
+LADDER_CASES = {
+    # invariant_extension's layout: even in-modes with a hole at k = 0
+    "V0": dict(in_ks=[-4, -2, 2, 4], out_ks=[-3, -1, 1, 3], V_power=0),
+    "V1": dict(in_ks=list(range(-3, 4)), out_ks=list(range(-4, 5)),
+               V_power=1),
+    # T_floor zeroes the output rows |k| < 2 that the band still holds
+    "V1-T_floor": dict(in_ks=list(range(-3, 4)), out_ks=list(range(-4, 5)),
+                       V_power=1, T_floor=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+class TestLadderOperator:
+    def test_forward_matches_eta_loop(self, chart, case):
+        op = sf._LadderOperator(chart, **LADDER_CASES[case])
+        x = np.random.default_rng(21).normal(size=op.shape[1])
+        expect = _pack(_eta_loop_forward(
+            op, _unpack(x, op.in_ks, (chart.nx, chart.ny))), op.out_ks)
+        got = op.matvec(x)
+        # the batched products keep the loop's arithmetic, operation by
+        # operation, so the two agree exactly, not merely to rounding
+        assert np.array_equal(got, expect)
+        if op.T_floor is not None:
+            low = [k for k in op.out_ks if abs(k) < op.T_floor]
+            rows = _unpack(got, op.out_ks, (chart.nx, chart.ny))
+            assert low and not any(np.any(rows[k]) for k in low)
+
+    def test_rmatvec_is_the_adjoint(self, chart, case):
+        op = sf._LadderOperator(chart, **LADDER_CASES[case])
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=op.shape[1])
+        y = rng.normal(size=op.shape[0])
+        Ax, ATy = op.matvec(x), op.rmatvec(y)
+        assert ATy.shape == (op.shape[1],)
+        scale = np.linalg.norm(Ax) * np.linalg.norm(y)
+        assert abs(Ax @ y - x @ ATy) <= 1e-12 * scale
+
+
 class TestInvariantExtension:
     def test_w0_prescribes_data_exactly(self, flat_torus):
         # constants are flow-invariant on any surface: exact extension
