@@ -29,6 +29,10 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _load_config(path):
     try:
         with open(path) as f:
@@ -41,14 +45,18 @@ def _load_config(path):
         if key.endswith("tol") and not (isinstance(val, (int, float))
                                         and val > 0):
             raise ConfigError(f"tolerance {key!r} must be positive")
-    for key in ("beta_max", "T_max", "dt"):
+    for key, zero_ok in (("beta_max", False), ("T_max", False),
+                         ("dt", False), ("kernel_threshold", False),
+                         ("reg", True)):
         if key not in cfg:
             continue
         val = cfg[key]
-        # the upper bound rejects inf, and ints too large for a float
-        if not (isinstance(val, (int, float)) and not isinstance(val, bool)
-                and 0 < val <= sys.float_info.max):
-            raise ConfigError(f"{key!r} must be a finite positive number")
+        # the upper bound rejects inf, and ints too large for a float; the
+        # comparisons reject NaN
+        if not (_is_number(val) and (0 <= val if zero_ok else 0 < val)
+                and val <= sys.float_info.max):
+            kind = "nonnegative" if zero_ok else "positive"
+            raise ConfigError(f"{key!r} must be a finite {kind} number")
     return cfg
 
 
@@ -115,11 +123,11 @@ def cmd_pestov(cfg, out, seed):
     from .geometry import ConformalTorus, FuchsianOctagon, ConstantCurvature
     from . import smfourier as sf
 
+    n_fields = _int_key(cfg, "n_fields", 5, 1)
+    n_modes = _int_key(cfg, "n_modes", 6, 0)
+    band = _int_key(cfg, "spatial_band", 4, 0)
+    n_grid = _int_key(cfg, "grid", 64, 2 * band + 1)
     model = _surface(cfg)
-    n_fields = int(cfg.get("n_fields", 5))
-    n_modes = int(cfg.get("n_modes", 6))
-    band = int(cfg.get("spatial_band", 4))
-    n_grid = int(cfg.get("grid", 64))
     rng = np.random.default_rng(seed)
 
     if isinstance(model, ConformalTorus):
@@ -275,9 +283,10 @@ def cmd_gulliver(cfg, out, seed):
     beta_target = cfg.get("beta_target")
     if beta_target is None:
         raise ConfigError("gulliver needs 'beta_target'")
+    if not _is_number(beta_target):
+        raise ConfigError("'beta_target' must be a number")
     try:
-        params = gulliver.search_params(float(beta_target),
-                                        tol=float(cfg.get("tol", 1e-3)))
+        params = gulliver.search_params(float(beta_target))
     except ValueError as e:
         raise ConfigError(str(e))
     profile = gulliver.synth_profile(params)

@@ -31,6 +31,18 @@ class ConjugatePointError(RuntimeError):
 
 # ----------------------------------------------------------------------------
 # Jacobi integration
+#
+# The beta-Jacobi equation is linear, so one RK4 step is exactly a 2x2 matrix
+# M_i acting on (y, y').  The kernel builds the step matrices of a block of
+# steps at once, multiplies them into inclusive prefix products P_j =
+# M_j ... M_i0 by Hillis-Steele doubling, and reads every state of the chunk
+# off P_j (y, y') -- no Python loop runs per step.  A chunk ends before the
+# growth bound sum log ||M_i||_inf passes _GROWTH, so no product can overflow;
+# the chunk's end state is carried to the next chunk rescaled by a power of 2
+# (exact, and the zero set of a linear equation does not change).
+
+_BLOCK = 4096       # steps whose step matrices are built together
+_GROWTH = 512.0     # bound on log ||P_j||_inf inside a chunk (e^512 ~ 1e222)
 
 
 def _half_grid(profile, t0, t1, dt):
@@ -41,32 +53,109 @@ def _half_grid(profile, t0, t1, dt):
     return n, h, profile(t_half)
 
 
+def _rk4_step(y, v, c0, c1, c2, h):
+    """One classical RK4 step of (y, v)' = (v, c y), c = -beta K at the
+    step's start, midpoint and end."""
+    k1y, k1v = v, c0 * y
+    k2y, k2v = v + 0.5 * h * k1v, c1 * (y + 0.5 * h * k1y)
+    k3y, k3v = v + 0.5 * h * k2v, c1 * (y + 0.5 * h * k2y)
+    k4y, k4v = v + h * k3v, c2 * (y + h * k3y)
+    return (y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y),
+            v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
+def _step_matrices(K_half, betas, h):
+    """Step matrices [[a, b], [c, d]] of the RK4 steps whose half-grid
+    curvature is K_half (r, 2L+1): the step applied to the basis vectors."""
+    cK = -betas[:, None] * K_half
+    c0, c1, c2 = cK[:, 0:-1:2], cK[:, 1::2], cK[:, 2::2]
+    a, c = _rk4_step(1.0, 0.0, c0, c1, c2, h)
+    b, d = _rk4_step(0.0, 1.0, c0, c1, c2, h)
+    return a, b, c, d
+
+
+def _prefix_products(a, b, c, d):
+    """Inclusive prefix products P_j = M_j ... M_0 along the last axis, by
+    Hillis-Steele doubling on the four component arrays."""
+    a, b, c, d = (x.copy() for x in (a, b, c, d))
+    k = 1
+    while k < a.shape[-1]:
+        a0, b0, c0, d0 = a[:, :-k], b[:, :-k], c[:, :-k], d[:, :-k]
+        a1, b1, c1, d1 = a[:, k:], b[:, k:], c[:, k:], d[:, k:]
+        na, nb = a1 * a0 + b1 * c0, a1 * b0 + b1 * d0
+        nc, nd = c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
+        a[:, k:], b[:, k:], c[:, k:], d[:, k:] = na, nb, nc, nd
+        k *= 2
+    return a, b, c, d
+
+
+def _jacobi_chunks(K_half, betas, h, y0, v0):
+    """Propagate the states (y0, v0) of y'' + beta K y = 0 through all RK4
+    steps of K_half (m, 2n+1), chunk by chunk.
+
+    Yields (i0, Y, V, E): the chunk starts at step i0; Y and V are (m, L+1)
+    with column 0 the state before step i0 and column j the state after step
+    i0+j-1, all scaled by 2**-E per row."""
+    K_half = np.asarray(K_half, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    n = (K_half.shape[1] - 1) // 2
+    y = np.array(y0, dtype=float)
+    v = np.array(v0, dtype=float)
+    E = np.zeros(len(K_half), dtype=int)
+    i = block = block_end = 0
+    while i < n:
+        if i == block_end:
+            block, block_end = i, min(i + _BLOCK, n)
+            M = _step_matrices(K_half[:, 2 * block:2 * block_end + 1],
+                               betas, h)
+            # per-step growth bound, the worst row at each step
+            growth = np.cumsum(np.log(np.maximum(np.max(np.maximum(
+                np.abs(M[0]) + np.abs(M[1]), np.abs(M[2]) + np.abs(M[3])),
+                axis=0), 1.0)))
+        p = i - block
+        base = growth[p - 1] if p > 0 else 0.0
+        L = max(1, int(np.searchsorted(growth[p:], base + _GROWTH,
+                                       side="right")))
+        _, exp = np.frexp(np.maximum(np.abs(y), np.abs(v)))
+        y, v, E = np.ldexp(y, -exp), np.ldexp(v, -exp), E + exp
+        A, B, C, D = _prefix_products(*(x[:, p:p + L] for x in M))
+        Y = np.empty((len(y), L + 1))
+        V = np.empty((len(y), L + 1))
+        Y[:, 0], V[:, 0] = y, v
+        Y[:, 1:] = A * y[:, None] + B * v[:, None]
+        V[:, 1:] = C * y[:, None] + D * v[:, None]
+        yield i, Y, V, E
+        y, v = Y[:, -1], V[:, -1]
+        i += L
+
+
+def _jacobi_trajectory(K_half, betas, h, y0, v0):
+    """Unscaled states (m, n+1) of the RK4 solutions from (y0, v0)."""
+    m, n = len(K_half), (np.shape(K_half)[1] - 1) // 2
+    ys, vs = np.empty((m, n + 1)), np.empty((m, n + 1))
+    ys[:, 0], vs[:, 0] = y0, v0
+    for i0, Y, V, E in _jacobi_chunks(K_half, betas, h, y0, v0):
+        L = Y.shape[1] - 1
+        ys[:, i0 + 1:i0 + L + 1] = np.ldexp(Y[:, 1:], E[:, None])
+        vs[:, i0 + 1:i0 + L + 1] = np.ldexp(V[:, 1:], E[:, None])
+    return ys, vs
+
+
 def integrate_beta_jacobi(profile, beta, y0, dy0, T, dt=1e-2, t0=0.0):
     """Solve y'' + beta K(t) y = 0 over [t0, t0+T]; returns (ts, ys, dys)."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     n, h, Kh = _half_grid(profile, t0, t0 + T, dt)
-    ys = np.empty(n + 1)
-    dys = np.empty(n + 1)
-    y, v = float(y0), float(dy0)
-    ys[0], dys[0] = y, v
-    for i in range(n):
-        c0, c1, c2 = -beta * Kh[2 * i], -beta * Kh[2 * i + 1], -beta * Kh[2 * i + 2]
-        k1y, k1v = v, c0 * y
-        k2y, k2v = v + 0.5 * h * k1v, c1 * (y + 0.5 * h * k1y)
-        k3y, k3v = v + 0.5 * h * k2v, c1 * (y + 0.5 * h * k2y)
-        k4y, k4v = v + h * k3v, c2 * (y + h * k3y)
-        y += (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        v += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        ys[i + 1], dys[i + 1] = y, v
-    return t0 + np.arange(n + 1) * h, ys, dys
+    ys, dys = _jacobi_trajectory(Kh[None, :], [beta], h, [y0], [dy0])
+    return t0 + np.arange(n + 1) * h, ys[0], dys[0]
 
 
 def cocycle_matrix(profile, beta, T, dt=1e-2):
     """Psi_T^beta: the 2x2 matrix mapping (y(0), y'(0)) to (y(T), y'(T))."""
-    _, y1, v1 = integrate_beta_jacobi(profile, beta, 1.0, 0.0, T, dt)
-    _, y2, v2 = integrate_beta_jacobi(profile, beta, 0.0, 1.0, T, dt)
-    return np.array([[y1[-1], y2[-1]], [v1[-1], v2[-1]]])
+    _, h, Kh = _half_grid(profile, 0.0, T, dt)
+    ys, vs = _jacobi_trajectory(np.stack([Kh, Kh]), [beta, beta], h,
+                                [1.0, 0.0], [0.0, 1.0])
+    return np.array([ys[:, -1], vs[:, -1]])
 
 
 def _hermite_root(t, h, y0, v0, y1, v1):
@@ -83,77 +172,47 @@ def _hermite_root(t, h, y0, v0, y1, v1):
     return t + h * float(np.min(np.clip(cands, 0.0, 1.0)))
 
 
+def jacobi_first_zero_batch(K_half, betas, h):
+    """Conjugate-point detection for a batch of problems.
+
+    K_half: (m, 2n+1) curvature at half-grid nodes; betas: (m,).  Returns
+    the first zero in (h, n h] of each solution with y(0)=0, y'(0)=1 -- a
+    sign change located by a cubic-Hermite root on the bracketing step, or
+    (i+1) h when step i lands exactly on 0 -- with NaN where the solution
+    never vanishes on the window.  Step 0 is not tested."""
+    m = len(K_half)
+    out = np.full(m, np.nan)
+    found = np.zeros(m, dtype=bool)
+    for i0, Y, V, _ in _jacobi_chunks(K_half, betas, h, np.zeros(m),
+                                      np.ones(m)):
+        y, y1 = Y[:, :-1], Y[:, 1:]
+        zero = y1 == 0.0
+        # signs, not y * y1 < 0: the product of two tiny values underflows
+        hit = zero | (np.sign(y) * np.sign(y1) < 0.0)
+        if i0 == 0:
+            hit[:, 0] = False
+        for r in np.flatnonzero(hit.any(axis=1) & ~found):
+            j = int(np.argmax(hit[r]))
+            i = i0 + j
+            if zero[r, j]:
+                out[r] = (i + 1) * h
+            else:
+                out[r] = _hermite_root(i * h, h, Y[r, j], V[r, j],
+                                       Y[r, j + 1], V[r, j + 1])
+            found[r] = True
+        if found.all():
+            break
+    return out
+
+
 def first_conjugate_time(profile, beta, T_max=200.0, dt=1e-2):
     """Smallest t in (0, T_max] where the solution with y(0)=0, y'(0)=1
     vanishes, or None.  Zero located by sign change plus a cubic-Hermite root
-    on the bracketing step (4th-order accurate).
-
-    The state is renormalized whenever it grows large -- the equation is
-    linear, so rescaling (y, y') leaves the zero set untouched and keeps
-    exponentially growing solutions (K < 0) from overflowing."""
-    n, h, Kh = _half_grid(profile, 0.0, T_max, dt)
-    y, v = 0.0, 1.0
-    for i in range(n):
-        c0, c1, c2 = -beta * Kh[2 * i], -beta * Kh[2 * i + 1], -beta * Kh[2 * i + 2]
-        k1y, k1v = v, c0 * y
-        k2y, k2v = v + 0.5 * h * k1v, c1 * (y + 0.5 * h * k1y)
-        k3y, k3v = v + 0.5 * h * k2v, c1 * (y + 0.5 * h * k2y)
-        k4y, k4v = v + h * k3v, c2 * (y + h * k3y)
-        ynew = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        vnew = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if i > 0:
-            if ynew == 0.0:
-                return float((i + 1) * h)
-            if y * ynew < 0.0:
-                return float(_hermite_root(i * h, h, y, v, ynew, vnew))
-        y, v = ynew, vnew
-        scale = abs(y) + abs(v)
-        if scale > 1e100:
-            y, v = y / scale, v / scale
-    return None
-
-
-def jacobi_first_zero_batch(K_half, betas, h):
-    """Vectorized conjugate-point detection for a batch of problems.
-
-    K_half: (m, 2n+1) curvature at half-grid nodes; betas: (m,).  Returns an
-    array of first-zero times (linear-interp accuracy) with NaN where the
-    solution y(0)=0, y'(0)=1 never vanishes on the window."""
-    K_half = np.asarray(K_half, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    m, ncol = K_half.shape
-    n = (ncol - 1) // 2
-    y = np.zeros(m)
-    v = np.ones(m)
-    out = np.full(m, np.nan)
-    done = np.zeros(m, dtype=bool)
-    for i in range(n):
-        c0 = -betas * K_half[:, 2 * i]
-        c1 = -betas * K_half[:, 2 * i + 1]
-        c2 = -betas * K_half[:, 2 * i + 2]
-        k1y, k1v = v, c0 * y
-        k2y, k2v = v + 0.5 * h * k1v, c1 * (y + 0.5 * h * k1y)
-        k3y, k3v = v + 0.5 * h * k2v, c1 * (y + 0.5 * h * k2y)
-        k4y, k4v = v + h * k3v, c2 * (y + h * k3y)
-        ynew = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        vnew = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if i > 0:
-            hit = (~done) & (y * ynew <= 0.0) & (np.abs(y) + np.abs(ynew) > 0.0)
-            if np.any(hit):
-                frac = np.where(ynew[hit] != y[hit],
-                                y[hit] / (y[hit] - ynew[hit]), 0.5)
-                out[hit] = (i + frac) * h
-                done[hit] = True
-        y, v = ynew, vnew
-        # renormalize growing solutions (linear equation: zeros unaffected)
-        scale = np.abs(y) + np.abs(v)
-        big = scale > 1e100
-        if np.any(big):
-            y[big] /= scale[big]
-            v[big] /= scale[big]
-        if np.all(done):
-            break
-    return out
+    on the bracketing step (4th-order accurate); see
+    ``jacobi_first_zero_batch``."""
+    _, h, Kh = _half_grid(profile, 0.0, T_max, dt)
+    t = jacobi_first_zero_batch(Kh[None, :], [beta], h)[0]
+    return None if np.isnan(t) else float(t)
 
 
 # ----------------------------------------------------------------------------

@@ -165,10 +165,14 @@ class ConformalTorus:
     def lam_and_grad(self, x, y):
         """Return (lam, lam_x, lam_y) at arbitrary points (vectorized)."""
         if self._lam_fns is not None:
-            l, lx, ly = (np.broadcast_to(np.asarray(f(x, y), dtype=float),
-                                         np.shape(x)) if np.shape(x) else
-                         float(f(x, y)) for f in self._lam_fns)
-            return l, lx, ly
+            shape = np.shape(x)
+            if not shape:
+                return tuple(float(f(x, y)) for f in self._lam_fns)
+            vals = [np.asarray(f(x, y), dtype=float) for f in self._lam_fns]
+            # a constant expression (e.g. a derivative of "0*x") lambdifies
+            # to a scalar; broadcast only those
+            return tuple(v if v.shape == shape else np.broadcast_to(v, shape)
+                         for v in vals)
         x, y = self.wrap(x, y)
         sp = self._get_splines()
         return (sp["lam"](x, y, grid=False), sp["lam_x"](x, y, grid=False),

@@ -97,7 +97,7 @@ def feasibility(params, beta):
             **({} if ok else {"violated": "cond2"})}
 
 
-def search_params(beta_target, tol=1e-3, b0=0.1, delta0=0.1):
+def search_params(beta_target, b0=0.1, delta0=0.1):
     """Parameters realizing a terminator window [beta_target, 2).
 
     Shrinks (b, delta) geometrically until the small-parameter conditions

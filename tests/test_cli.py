@@ -46,6 +46,16 @@ class TestConfigHandling:
         assert rc == cli.EXIT_CONFIG
         assert not (out / "anosov_verdict.json").exists()
 
+    @pytest.mark.parametrize("command, key, val", [
+        ("invariant", "reg", "abc"), ("invariant", "reg", -1e-12),
+        ("invariant", "reg", float("nan")),
+        ("xray", "kernel_threshold", -1), ("xray", "kernel_threshold", 0),
+        ("xray", "kernel_threshold", float("inf"))])
+    def test_bad_float_key_rejected(self, tmp_path, command, key, val):
+        rc, out = _run(tmp_path, command, {"surface": OCTAGON, key: val})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_surface(self, tmp_path):
         rc, _ = _run(tmp_path, "terminator", {})
         assert rc == cli.EXIT_CONFIG
@@ -61,6 +71,12 @@ class TestConfigHandling:
     def test_gulliver_target_out_of_range(self, tmp_path):
         rc, _ = _run(tmp_path, "gulliver", {"beta_target": 2.7})
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("target", [[1], "1.75", True])
+    def test_gulliver_target_not_a_number(self, tmp_path, target):
+        rc, out = _run(tmp_path, "gulliver", {"beta_target": target})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestCommands:
@@ -94,6 +110,15 @@ class TestCommands:
         lines = (out / "pestov_residuals.csv").read_text().strip().split("\n")
         assert lines[0] == "field,grid,residual"
         assert len(lines) == 1 + 2 * 2   # 2 fields x 2 grids
+
+    @pytest.mark.parametrize("bad", [
+        {"n_fields": 0}, {"n_modes": -1}, {"spatial_band": -1}, {"grid": 0},
+        {"grid": 8}, {"grid": 4, "spatial_band": 2}, {"n_fields": "5"},
+        {"grid": 16.5}])
+    def test_pestov_bad_key_rejected(self, tmp_path, bad):
+        rc, out = _run(tmp_path, "pestov", {"surface": OCTAGON, **bad})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
 
     def test_gulliver_window(self, tmp_path):
         rc, out = _run(tmp_path, "gulliver", {"beta_target": 1.75})

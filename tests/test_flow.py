@@ -44,6 +44,15 @@ class TestIntegrator:
         r2 = np.linalg.norm(e2 - e0)
         assert r1 / r2 > 12.0   # ~16 for a 4th-order method
 
+    @pytest.mark.parametrize("torus", ["curved_torus", "flat_torus"])
+    def test_batched_orbit_equals_single_runs(self, torus, request):
+        model = request.getfixturevalue(torus)
+        states = np.array([[0.4, 1.1, 0.3], [2.0, 4.5, 2.9], [5.1, 0.2, 4.4]])
+        _, batch = rk4_orbit(model, states, 2.0, 1e-2)
+        for k, s in enumerate(states):
+            _, single = rk4_orbit(model, s, 2.0, 1e-2)
+            assert np.array_equal(batch[:, k], single)
+
     def test_octagon_generator_orbit_closes(self, octagon):
         geo = octagon.closed_geodesic_from_word([0])
         start = geo.start
