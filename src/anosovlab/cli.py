@@ -41,13 +41,10 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    for key, val in cfg.items():
-        if key.endswith("tol") and not (isinstance(val, (int, float))
-                                        and val > 0):
-            raise ConfigError(f"tolerance {key!r} must be positive")
-    for key, zero_ok in (("beta_max", False), ("T_max", False),
-                         ("dt", False), ("kernel_threshold", False),
-                         ("reg", True)):
+    tols = [(key, False) for key in cfg if key.endswith("tol")]
+    for key, zero_ok in tols + [("beta_max", False), ("T_max", False),
+                                ("dt", False), ("kernel_threshold", False),
+                                ("reg", True)]:
         if key not in cfg:
             continue
         val = cfg[key]
@@ -110,8 +107,7 @@ class _Out:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
-            for row in rows:
-                w.writerow(row)
+            w.writerows(rows)
         return path
 
 

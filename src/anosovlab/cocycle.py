@@ -450,11 +450,11 @@ def _profile_pool(model, seed=0, n_windows=4, T_window=40.0):
             except RuntimeError:
                 pass
         rng = np.random.default_rng(seed)
-        for _ in range(n_windows):
-            start = _flow.UnitTangent(rng.uniform(0, model.Lx),
-                                      rng.uniform(0, model.Ly),
-                                      rng.uniform(0, 2 * np.pi))
-            pool.append(_flow.curvature_profile_window(model, start, T_window))
+        starts = np.array([[rng.uniform(0, model.Lx),
+                            rng.uniform(0, model.Ly),
+                            rng.uniform(0, 2 * np.pi)]
+                           for _ in range(n_windows)])
+        pool += _flow.curvature_profile_window(model, starts, T_window)
         return pool
     raise TypeError(f"unsupported model {type(model).__name__}")
 

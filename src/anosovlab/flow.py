@@ -120,6 +120,20 @@ def _reduce_states(model, states):
     return np.stack([zr.real, zr.imag, theta], axis=-1)
 
 
+def _rk4_step(model, states, h):
+    """One classical RK4 step of the flow for a batch of SM states; ``h`` is
+    a scalar or broadcasts against ``states`` (one step size per state).
+    Octagon states are pulled back into the fundamental domain."""
+    k1 = _rhs(model, states)
+    k2 = _rhs(model, states + 0.5 * h * k1)
+    k3 = _rhs(model, states + 0.5 * h * k2)
+    k4 = _rhs(model, states + h * k3)
+    states = states + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if isinstance(model, FuchsianOctagon):
+        states = _reduce_states(model, states)
+    return states
+
+
 def rk4_orbit(model, states, T, dt, record=True):
     """Fixed-step RK4 over [0, T] for a batch of SM states (shape (..., 3)).
 
@@ -128,25 +142,35 @@ def rk4_orbit(model, states, T, dt, record=True):
     n = max(1, int(round(T / dt)))
     h = T / n
     states = np.array(states, dtype=float)
-    reduce_oct = isinstance(model, FuchsianOctagon)
     traj = None
     if record:
         traj = np.empty((n + 1,) + states.shape)
         traj[0] = states
     for i in range(n):
-        k1 = _rhs(model, states)
-        k2 = _rhs(model, states + 0.5 * h * k1)
-        k3 = _rhs(model, states + 0.5 * h * k2)
-        k4 = _rhs(model, states + h * k3)
-        states = states + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if reduce_oct:
-            states = _reduce_states(model, states)
+        states = _rk4_step(model, states, h)
         if record:
             traj[i + 1] = states
     ts = np.arange(n + 1) * h
     if record:
         return ts, traj
     return ts[-1], states
+
+
+def _rk4_ends(model, states, T, dt):
+    """End states of (n, 3) SM states, state i flowed over its own horizon
+    T[i]: n_i = max(1, round(T[i]/dt)) steps of h_i = T[i]/n_i, the same
+    steps as ``rk4_orbit(model, states[i], T[i], dt, record=False)``.  All
+    rows step together up to max n_i; row i is read off after step n_i."""
+    states = np.array(states, dtype=float)
+    T = np.asarray(T, dtype=float)
+    n = np.array([max(1, int(round(t / dt))) for t in T])
+    h = (T / n)[:, None]
+    ends = np.empty_like(states)
+    for i in range(1, n.max() + 1):
+        states = _rk4_step(model, states, h)
+        done = n == i
+        ends[done] = states[done]
+    return ends
 
 
 def integrate_geodesic(model, start, T, dt=1e-3):
@@ -182,31 +206,33 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, dt=None, max_iter=60):
     if dt is None:
         dt = T0 / max(400, int(T0 / 5e-3))
 
-    def resid(u):
-        y0, th0, T = u
-        _, ends = rk4_orbit(model, np.array([0.0, y0, th0]), T, dt, record=False)
-        return np.array([ends[0] - dx, ends[1] - (y0 + dy),
-                         np.arctan2(np.sin(ends[2] - th0), np.cos(ends[2] - th0))])
+    eps = 1e-7
 
-    r = resid(u)
+    def shots(u):
+        """Residual of the return map at u and its forward-difference
+        Jacobian, from one 4-state shot: u and u + du_j for j = 0, 1, 2."""
+        du = eps * np.maximum(1.0, np.abs(u))
+        us = np.vstack([u, u + np.diag(du)])
+        y0, th0, T = us.T
+        ends = _rk4_ends(model, np.column_stack([np.zeros(4), y0, th0]), T, dt)
+        dth = ends[:, 2] - th0
+        rs = np.column_stack([ends[:, 0] - dx, ends[:, 1] - (y0 + dy),
+                              np.arctan2(np.sin(dth), np.cos(dth))])
+        return rs[0], (rs[1:] - rs[0]).T / du
+
+    r, J = shots(u)
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
             break
-        J = np.empty((3, 3))
-        eps = 1e-7
-        for j in range(3):
-            du = np.zeros(3)
-            du[j] = eps * max(1.0, abs(u[j]))
-            J[:, j] = (resid(u + du) - r) / du[j]
         # least-squares step: tolerates neutral directions (e.g. translation
         # symmetries of special metrics make the Jacobian rank-deficient)
         step = np.linalg.lstsq(J, -r, rcond=1e-10)[0]
         lam = 1.0
         for _ in range(12):
             trial = u + lam * step
-            rt = resid(trial)
+            rt, Jt = shots(trial)
             if np.linalg.norm(rt) < np.linalg.norm(r):
-                u, r = trial, rt
+                u, r, J = trial, rt, Jt
                 break
             lam *= 0.5
         else:
@@ -244,11 +270,20 @@ def curvature_profile_along(model, geo):
 
 
 def curvature_profile_window(model, start, T_window, dt=5e-3):
-    """Aperiodic curvature profile along the orbit window [0, T_window]."""
-    orbit = integrate_geodesic(model, start, T_window, dt)
-    return CurvatureProfile(_curvature_samples(model, orbit.samples),
-                            orbit.dt, periodic=False,
-                            name=f"window:{T_window}")
+    """Aperiodic curvature profile along the orbit window [0, T_window].
+
+    ``start`` is one SM point (a UnitTangent or (x, y, theta)), giving one
+    profile, or an (n, 3) array of them, giving a list with one profile per
+    start; either way the starts are integrated in one batched call."""
+    single = isinstance(start, UnitTangent) or np.ndim(start) == 1
+    starts = np.atleast_2d(start.as_array() if isinstance(start, UnitTangent)
+                           else start)
+    ts, traj = rk4_orbit(model, starts, T_window, dt)
+    K = _curvature_samples(model, traj.reshape(-1, 3))
+    K = np.ascontiguousarray(K.reshape(traj.shape[:-1]).T)
+    profiles = [CurvatureProfile(k, ts[1] - ts[0], periodic=False,
+                                 name=f"window:{T_window}") for k in K]
+    return profiles[0] if single else profiles
 
 
 def _curvature_samples(model, samples):

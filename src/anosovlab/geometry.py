@@ -87,6 +87,23 @@ def _spectral_wavenumbers(n, L):
     return TWO_PI * np.fft.fftfreq(n, d=L / n)
 
 
+# An expression-backed lam must be periodic on its box: lam, lam_x and lam_y
+# on opposite edges may differ by at most PERIODIC_TOL * max(1, max |value|
+# on the edges).  Rounding of the edge coordinate (e.g. 2 pi) moves them by
+# about 1e-15 relative.
+PERIODIC_TOL = 1e-8
+
+
+def _lam_values(fn, x, y):
+    """(lam, lam_x, lam_y) from a lambdified ``fn`` at array points; a
+    constant component (e.g. a derivative of "0*x") lambdifies to a scalar,
+    so only those are broadcast."""
+    shape = np.shape(x)
+    vals = [np.asarray(v, dtype=float) for v in fn(x, y)]
+    return tuple(v if v.shape == shape else np.broadcast_to(v, shape)
+                 for v in vals)
+
+
 class ConformalTorus:
     """Torus [0,Lx) x [0,Ly) with metric e^{2 lam}(dx^2+dy^2).
 
@@ -99,14 +116,14 @@ class ConformalTorus:
 
     variant = "ConformalTorus"
 
-    def __init__(self, lam_grid, Lx, Ly, lam_fns=None):
+    def __init__(self, lam_grid, Lx, Ly, lam_fn=None):
         lam_grid = np.asarray(lam_grid, dtype=float)
         if not np.all(np.isfinite(lam_grid)):
             raise ValueError("lambda grid contains non-finite values")
         self.lam_grid = lam_grid
         self.nx, self.ny = lam_grid.shape
         self.Lx, self.Ly = float(Lx), float(Ly)
-        self._lam_fns = lam_fns  # (lam, lam_x, lam_y) callables or None
+        self._lam_fn = lam_fn  # (x, y) -> [lam, lam_x, lam_y], or None
 
         kx = _spectral_wavenumbers(self.nx, self.Lx)[:, None]
         ky = _spectral_wavenumbers(self.ny, self.Ly)[None, :]
@@ -119,20 +136,31 @@ class ConformalTorus:
 
     @classmethod
     def from_expression(cls, expr, Lx, Ly, nx, ny):
-        """Build from a sympy-parseable expression in x, y."""
+        """Build from a sympy-parseable expression in x, y.  Raises
+        ValueError when lam or its gradient is not periodic on the box."""
         import sympy as sp
 
         x, y = sp.symbols("x y", real=True)
         lam = sp.sympify(expr, locals={"x": x, "y": y, "pi": sp.pi})
-        fns = tuple(
-            sp.lambdify((x, y), e, "numpy")
-            for e in (lam, sp.diff(lam, x), sp.diff(lam, y))
-        )
+        fn = sp.lambdify((x, y), [lam, sp.diff(lam, x), sp.diff(lam, y)],
+                         "numpy")
         xs = np.arange(nx) * (Lx / nx)
         ys = np.arange(ny) * (Ly / ny)
+        with np.errstate(all="ignore"):     # non-finite values fail below
+            for name, a, b in (("x", (0.0 * ys, ys), (Lx + 0.0 * ys, ys)),
+                               ("y", (xs, 0.0 * xs), (xs, Ly + 0.0 * xs))):
+                va = np.array(_lam_values(fn, *a))
+                vb = np.array(_lam_values(fn, *b))
+                gap = np.max(np.abs(va - vb))
+                scale = max(1.0, np.max(np.abs(va)), np.max(np.abs(vb)))
+                if not gap <= PERIODIC_TOL * scale:     # NaN fails too
+                    raise ValueError(
+                        f"lambda {expr!r} is not periodic in {name}: "
+                        "(lambda, lambda_x, lambda_y) differ by "
+                        f"{gap:.3g} across the box")
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        grid = np.broadcast_to(np.asarray(fns[0](X, Y), dtype=float), X.shape).copy()
-        return cls(grid, Lx, Ly, lam_fns=fns)
+        grid = _lam_values(fn, X, Y)[0].copy()
+        return cls(grid, Lx, Ly, lam_fn=fn)
 
     @classmethod
     def flat(cls, Lx=TWO_PI, Ly=TWO_PI, n=16):
@@ -164,15 +192,10 @@ class ConformalTorus:
 
     def lam_and_grad(self, x, y):
         """Return (lam, lam_x, lam_y) at arbitrary points (vectorized)."""
-        if self._lam_fns is not None:
-            shape = np.shape(x)
-            if not shape:
-                return tuple(float(f(x, y)) for f in self._lam_fns)
-            vals = [np.asarray(f(x, y), dtype=float) for f in self._lam_fns]
-            # a constant expression (e.g. a derivative of "0*x") lambdifies
-            # to a scalar; broadcast only those
-            return tuple(v if v.shape == shape else np.broadcast_to(v, shape)
-                         for v in vals)
+        if self._lam_fn is not None:
+            if not np.shape(x):
+                return tuple(float(v) for v in self._lam_fn(x, y))
+            return _lam_values(self._lam_fn, x, y)
         x, y = self.wrap(x, y)
         sp = self._get_splines()
         return (sp["lam"](x, y, grid=False), sp["lam_x"](x, y, grid=False),

@@ -151,17 +151,6 @@ class SMField:
         self.modes[int(k)] = np.asarray(arr, dtype=complex)
         self.n_modes = max(self.n_modes, abs(int(k)))
 
-    def mode_indices(self):
-        return sorted(self.modes)
-
-    def copy(self):
-        return SMField(self.chart, {k: v.copy() for k, v in self.modes.items()},
-                       self.n_modes)
-
-    def is_real(self, tol=1e-12):
-        return all(np.allclose(np.conj(self.get(-k)), self.get(k), atol=tol)
-                   for k in self.modes)
-
     @classmethod
     def random_real(cls, chart, n_modes, spatial_band=4, rng=None, decay=0.0):
         """Band-limited random real field: modes |k| <= n_modes with spatial

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,29 @@ class TestConfigHandling:
     def test_nonpositive_tolerance_rejected(self, tmp_path):
         rc, _ = _run(tmp_path, "anosov", {"surface": SPHERE, "tol": -1.0})
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("val", ["true", "1e999", '"1e-3"'])
+    def test_bad_tolerance_rejected(self, tmp_path, val):
+        # written as raw JSON text: 1e999 parses to infinity
+        p = tmp_path / "cfg.json"
+        p.write_text('{"surface": {"type": "constant", "K": 1.0}, '
+                     f'"tol": {val}}}')
+        out = tmp_path / "out"
+        rc = cli.main(["terminator", "--config", str(p), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["anosov", "invariant"])
+    @pytest.mark.parametrize("lam", ["x**2", "x*(x - 2*pi)"])
+    def test_nonperiodic_lambda_rejected(self, tmp_path, command, lam):
+        # x*(x - 2 pi) vanishes on both x edges; its x-derivative does not
+        surface = {"type": "conformal_torus", "nx": 16, "ny": 16,
+                   "lambda": lam}
+        start = time.perf_counter()
+        rc, out = _run(tmp_path, command, {"surface": surface})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        assert time.perf_counter() - start < 30.0   # before any work
 
     @pytest.mark.parametrize("key, val", [("dt", 0), ("beta_max", -1)])
     def test_nonpositive_cocycle_key_rejected(self, tmp_path, key, val):

@@ -7,7 +7,7 @@ from anosovlab.geometry import UnitTangent, ConformalTorus, ConstantCurvature
 from anosovlab.flow import (CurvatureProfile, integrate_geodesic,
                             find_closed_geodesics, curvature_profile_along,
                             curvature_profile_window, trapping_surrogate,
-                            rk4_orbit)
+                            rk4_orbit, _rk4_ends)
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,6 +53,19 @@ class TestIntegrator:
             _, single = rk4_orbit(model, s, 2.0, 1e-2)
             assert np.array_equal(batch[:, k], single)
 
+    @pytest.mark.parametrize("torus", ["curved_torus", "flat_torus"])
+    def test_ends_equal_single_runs(self, torus, request):
+        # 237, 200, 200 (with a different step size) and 1 step: rows finish
+        # at different steps, and the longest is not the last row
+        model = request.getfixturevalue(torus)
+        states = np.array([[0.4, 1.1, 0.3], [2.0, 4.5, 2.9],
+                           [5.1, 0.2, 4.4], [1.0, 1.0, 1.0]])
+        T = np.array([2.37, 2.0, 2.0 + 1e-9, 4e-3])
+        ends = _rk4_ends(model, states, T, 1e-2)
+        for s, t, end in zip(states, T, ends):
+            _, single = rk4_orbit(model, s, t, 1e-2, record=False)
+            assert np.array_equal(end, single)
+
     def test_octagon_generator_orbit_closes(self, octagon):
         geo = octagon.closed_geodesic_from_word([0])
         start = geo.start
@@ -61,7 +74,61 @@ class TestIntegrator:
         assert d < 1e-6
 
 
+def _newton_oracle(model, homotopy, tol, max_iter=60):
+    """(y0, theta0, T) from the shooting loop before batching: one
+    single-state shot for the residual and one per finite-difference
+    column, each its own rk4_orbit call."""
+    p, q = homotopy
+    dx, dy = p * model.Lx, q * model.Ly
+    T0 = float(np.hypot(dx, dy))
+    u = np.array([0.0, np.arctan2(dy, dx), T0])
+    dt = T0 / max(400, int(T0 / 5e-3))
+
+    def resid(u):
+        y0, th0, T = u
+        _, ends = rk4_orbit(model, np.array([0.0, y0, th0]), T, dt,
+                            record=False)
+        return np.array([ends[0] - dx, ends[1] - (y0 + dy),
+                         np.arctan2(np.sin(ends[2] - th0),
+                                    np.cos(ends[2] - th0))])
+
+    r = resid(u)
+    for _ in range(max_iter):
+        if np.max(np.abs(r)) < tol:
+            return u
+        J = np.empty((3, 3))
+        eps = 1e-7
+        for j in range(3):
+            du = np.zeros(3)
+            du[j] = eps * max(1.0, abs(u[j]))
+            J[:, j] = (resid(u + du) - r) / du[j]
+        step = np.linalg.lstsq(J, -r, rcond=1e-10)[0]
+        lam = 1.0
+        for _ in range(12):
+            trial = u + lam * step
+            rt = resid(trial)
+            if np.linalg.norm(rt) < np.linalg.norm(r):
+                u, r = trial, rt
+                break
+            lam *= 0.5
+        else:
+            raise RuntimeError("stalled")
+    raise RuntimeError("did not converge")
+
+
 class TestClosedGeodesics:
+    @pytest.mark.parametrize("hom", [(1, 0), (0, 1), (1, 1)])
+    def test_batched_shooting_equals_single_shots(self, curved_torus, hom):
+        y0, th0, T = _newton_oracle(curved_torus, hom, tol=1e-9)
+        geo = find_closed_geodesics(curved_torus, hom, tol=1e-9)
+        assert geo.period == T
+        assert np.array_equal(geo.samples[0],
+                              [0.0, np.mod(y0, curved_torus.Ly), th0])
+
+    def test_iteration_cap_raises(self, curved_torus):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            find_closed_geodesics(curved_torus, (1, 1), max_iter=1)
+
     def test_flat_torus_homotopy_classes(self, flat_torus):
         geo = find_closed_geodesics(flat_torus, (1, 0))
         assert abs(geo.period - TWO_PI) < 1e-8
@@ -152,6 +219,24 @@ class TestCurvatureProfiles:
         pointwise = [curved_torus.curvature_at((x, y))
                      for x, y, _ in orbit.samples]
         assert np.array_equal(prof.K_samples, pointwise)
+        assert prof.dt == orbit.dt
+
+    def test_window_batch_equals_single_windows(self, curved_torus):
+        starts = np.array([[0.1, 0.2, 0.5], [3.0, 5.9, 4.0],
+                           [6.2, 1.0, 2.2]])
+        batch = curvature_profile_window(curved_torus, starts, 10.0)
+        assert len(batch) == len(starts)
+        for s, prof in zip(starts, batch):
+            orbit = integrate_geodesic(curved_torus, UnitTangent(*s), 10.0,
+                                       5e-3)
+            pointwise = [curved_torus.curvature_at((x, y))
+                         for x, y, _ in orbit.samples]
+            assert np.array_equal(prof.K_samples, pointwise)
+            assert (prof.dt, prof.periodic, prof.name) == \
+                   (orbit.dt, False, "window:10.0")
+        assert np.array_equal(
+            curvature_profile_window(curved_torus, starts[1], 10.0).K_samples,
+            batch[1].K_samples)
 
 
 class TestTrappingSurrogate:

@@ -231,6 +231,20 @@ class TestSurfaceJson:
                                "lambda": "0.05*cos(x)"})
         assert isinstance(t, ConformalTorus)
 
+    @pytest.mark.parametrize("expr, L", [
+        ("0", TWO_PI), ("0*x", TWO_PI), ("0.05*cos(x)", TWO_PI),
+        ("0.1*cos(x)*sin(y)", TWO_PI), ("0.3*sin(2*pi*x)*cos(4*pi*y)", 1.0),
+        ("2*cos(x)**2 - sin(3*y)", TWO_PI)])
+    def test_periodic_expressions_build(self, expr, L):
+        t = ConformalTorus.from_expression(expr, L, L, 16, 16)
+        assert t.lam_grid.shape == (16, 16)
+
+    @pytest.mark.parametrize("expr", [
+        "x**2", "y", "x*(x - 2*pi)", "cos(x/2)", "1/x", "sqrt(y - 1)"])
+    def test_nonperiodic_expressions_rejected(self, expr):
+        with pytest.raises(ValueError, match="not periodic"):
+            ConformalTorus.from_expression(expr, TWO_PI, TWO_PI, 16, 16)
+
     def test_grid_lambda(self):
         grid = np.zeros((8, 8))
         t = surface_from_json({"type": "conformal_torus", "Lx": 1.0,
