@@ -1,6 +1,6 @@
 """Batch command-line front door.
 
-    anosovlab <command> --config file.json [--out DIR] [--seed N] [--workers N]
+    anosovlab <command> --config file.json [--out DIR] [--seed N]
 
 Commands: pestov, terminator, anosov, xray, invariant, gulliver.
 Exit codes: 0 ok, 2 config error, 3 insufficient data, 4 solver failure.
@@ -71,6 +71,11 @@ def _int_key(cfg, key, default, lo, hi=None):
     return val
 
 
+def _torus_grid(model, grid):
+    """Torus chart side: at least nx and ny (the resample only upsamples)."""
+    return max(grid, model.nx, model.ny)
+
+
 def _config_hash(cfg):
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -127,28 +132,26 @@ def cmd_pestov(cfg, out, seed):
     rng = np.random.default_rng(seed)
 
     if isinstance(model, ConformalTorus):
-        n_grid = max(n_grid, model.nx)           # spectral resample only upsamples
+        n_grid = _torus_grid(model, n_grid)
         charts = [sf.Chart.from_torus(model, n) for n in (n_grid, 2 * n_grid)]
+        window = None
     elif isinstance(model, (FuchsianOctagon, ConstantCurvature)):
         charts = [sf.Chart.disk_patch(model, half_width=0.55, n=n)
                   for n in (n_grid, 2 * n_grid)]
+        window = [sf._patch_window(ch) for ch in charts]
     else:
         raise ConfigError(f"unsupported surface {type(model).__name__}")
 
-    window = None
-    if not isinstance(model, ConformalTorus):
-        window = [sf._patch_window(ch) for ch in charts]
     rows = []
     for i in range(n_fields):
         state = rng.bit_generator.state
         for j, ch in enumerate(charts):
-            rng_i = np.random.default_rng()
-            rng_i.bit_generator.state = state    # same field on both grids
+            # the same field on both grids; the last draw leaves rng past it
+            rng.bit_generator.state = state
             u = sf.SMField.random_real(ch, n_modes=n_modes,
-                                       spatial_band=band, rng=rng_i)
+                                       spatial_band=band, rng=rng)
             if window is not None:
-                u = sf.SMField(ch, {k: u.get(k) * window[j]
-                                    for k in u.modes}, u.n_modes)
+                u = sf.SMField.from_array(ch, u.data * window[j])
             rows.append((i, ch.nx, sf.pestov_residual(u)))
     out.csv("pestov_residuals.csv", ["field", "grid", "residual"], rows)
     coarse = [r[2] for r in rows if r[1] == charts[0].nx]
@@ -243,17 +246,17 @@ def cmd_invariant(cfg, out, seed):
     if isinstance(model, FuchsianOctagon):
         f = sf.octagon_mode0_field(model, rng=rng, spatial_band=band, n=grid)
     elif isinstance(model, ConformalTorus):
-        ch = sf.Chart.from_torus(model, grid)
-        u = sf.SMField.random_real(ch, n_modes=0, spatial_band=band, rng=rng)
-        f = sf.SMField(ch, {0: u.get(0)})
+        ch = sf.Chart.from_torus(model, _torus_grid(model, grid))
+        f = sf.SMField.random_real(ch, n_modes=0, spatial_band=band, rng=rng)
     else:
         raise ConfigError(f"unsupported surface {type(model).__name__}")
     w, diag = sf.invariant_extension(f, variant, n_modes=n_modes, reg=reg)
     tol = float(cfg.get("tol", 1e-6))
     rel = diag["interior_max"] / max(diag["w_norm"], 1e-300)
+    norms = np.sqrt(w.chart.norm2(w.data))      # w0 lives on the even modes
     out.csv("invariant_modes.csv", ["k", "norm"],
-            [(k, np.sqrt(w.chart.norm2(w.get(k))))
-             for k in sorted(w.modes)])
+            [(k, norms[k + n_modes]) for k in range(-n_modes, n_modes + 1)
+             if k % 2 == 0])
     out.csv("ladder_residuals.csv", ["k", "residual", "truncation_affected"],
             [(k, v["residual"], v["truncation_affected"])
              for k, v in sorted(diag["ladder"].items())])
@@ -313,16 +316,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="anosovlab_out")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="recorded in reports; commands run "
-                             "single-process for reproducibility")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         out = _Out(args.out, cfg)
         out.stamp["seed"] = args.seed
-        if args.workers is not None:
-            out.stamp["workers"] = args.workers
         return COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

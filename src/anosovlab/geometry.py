@@ -13,6 +13,8 @@ Three kinds of closed oriented surfaces are supported:
   side-pairing translations acting on the Poincare disk.
 """
 
+import sys
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -85,6 +87,21 @@ def disk_distance0(z):
 
 def _spectral_wavenumbers(n, L):
     return TWO_PI * np.fft.fftfreq(n, d=L / n)
+
+
+def resample(f, shape):
+    """Trigonometric interpolation of f, periodic in its last two axes, onto
+    a grid of the given shape by zero-padding its spectrum.  Leading axes
+    are a stack; a real f gives a real result.  Only upsamples."""
+    nx, ny = f.shape[-2:]
+    n1, n2 = shape
+    if n1 < nx or n2 < ny:
+        raise ValueError("resample only upsamples")
+    ix, iy = (np.fft.fftfreq(n, 1.0 / n).astype(int) for n in (nx, ny))
+    out = np.zeros(f.shape[:-2] + (n1, n2), dtype=complex)
+    out[..., ix[:, None], iy] = np.fft.fft2(f)
+    g = np.fft.ifft2(out)
+    return (g.real if np.isrealobj(f) else g) * (n1 * n2) / (nx * ny)
 
 
 # An expression-backed lam must be periodic on its box: lam, lam_x and lam_y
@@ -222,14 +239,7 @@ class ConformalTorus:
 
     def resample(self, n):
         """lam on an n x n grid by trigonometric interpolation (exact)."""
-        F = np.fft.fft2(self.lam_grid)
-        out = np.zeros((n, n), dtype=complex)
-        ix = np.fft.fftfreq(self.nx, 1.0 / self.nx).astype(int)
-        iy = np.fft.fftfreq(self.ny, 1.0 / self.ny).astype(int)
-        if n < self.nx or n < self.ny:
-            raise ValueError("resample only upsamples")
-        out[np.ix_(ix, iy)] = F
-        return np.real(np.fft.ifft2(out)) * (n * n) / (self.nx * self.ny)
+        return resample(self.lam_grid, (n, n))
 
 
 # ----------------------------------------------------------------------------
@@ -501,6 +511,17 @@ class FuchsianOctagon:
 # dispatch helpers
 
 
+def _positive(doc, key, default, kind):
+    """doc[key] (or the default): an int >= 1 if kind is int, otherwise a
+    finite positive number."""
+    val = doc.get(key, default)
+    if (isinstance(val, bool) or not isinstance(val, (int, kind))
+            or not 0 < val <= sys.float_info.max):
+        raise ValueError(f"{key!r} must be a finite positive "
+                         f"{'integer' if kind is int else 'number'}")
+    return kind(val)
+
+
 def surface_from_json(doc):
     """Build a SurfaceModel from its JSON description.
 
@@ -512,8 +533,8 @@ def surface_from_json(doc):
     kind = doc.get("type")
     if kind == "conformal_torus":
         lam = doc["lambda"]
-        Lx, Ly = doc.get("Lx", TWO_PI), doc.get("Ly", TWO_PI)
-        nx, ny = doc.get("nx", 64), doc.get("ny", 64)
+        Lx, Ly = (_positive(doc, key, TWO_PI, float) for key in ("Lx", "Ly"))
+        nx, ny = (_positive(doc, key, 64, int) for key in ("nx", "ny"))
         if isinstance(lam, str):
             return ConformalTorus.from_expression(lam, Lx, Ly, nx, ny)
         return ConformalTorus(np.asarray(lam, dtype=float), Lx, Ly)

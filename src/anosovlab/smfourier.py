@@ -1,21 +1,23 @@
 """Fourier analysis on the unit sphere bundle.
 
-A function u on SM is stored as vertical Fourier modes u_k(x, y), |k| <=
-N_modes, over a conformal chart.  The frame acts mode-wise:
+A function u on SM is stored as its vertical Fourier modes u_k(x, y), |k| <=
+N, over a conformal chart: one complex (2N+1, nx, ny) array, u_k in row k + N.
+The frame acts on the whole array at once:
 
     V  -> multiplication by ik
     eta_minus (k -> k-1):  e^{-lam} (dbar h + k (dbar lam) h)
     eta_plus  (k -> k+1):  e^{-lam} (dz h   - k (dz lam)  h)
     X = eta_plus + eta_minus,   X_perp = -i (eta_plus - eta_minus)
 
-Spatial derivatives are spectral on the periodic chart grid.  The inner
-product is the SM volume: (u, v) = sum_k int u_k conj(v_k) e^{2 lam} dx dy
-times 2 pi (the fiber integral), and all norms below use it.
+Every eta image comes from one kernel, ``_eta_sides``, spectral on the
+periodic chart grid.  The inner product is the SM volume: (u, v) = sum_k int
+u_k conj(v_k) e^{2 lam} dx dy times 2 pi (the fiber integral), and all norms
+below use it.
 """
 
 import numpy as np
 
-from .geometry import ConformalTorus, ConstantCurvature, FuchsianOctagon, TWO_PI
+from .geometry import ConstantCurvature, FuchsianOctagon, TWO_PI, resample
 
 
 class Chart:
@@ -34,6 +36,9 @@ class Chart:
         ky = TWO_PI * np.fft.fftfreq(self.ny, d=self.Ly / self.ny)
         self._ikx = 1j * kx[:, None]
         self._iky = 1j * ky[None, :]
+        # symbols of dz and dbar: the spectral parts of eta_+ and eta_-
+        self.eta_symbol = 0.5 * np.stack([self._ikx - 1j * self._iky,
+                                          self._ikx + 1j * self._iky])[:, None]
         if grads is None:
             F = np.fft.fft2(self.lam)
             lam_x = np.real(np.fft.ifft2(self._ikx * F))
@@ -55,12 +60,11 @@ class Chart:
 
     @classmethod
     def from_torus(cls, model, n=None):
-        if n is None or n == model.nx:
-            lam = model.lam_grid
-            n = model.nx
-        else:
-            lam = model.resample(n)
-        return cls(lam, model.Lx, model.Ly)
+        """The torus on an n x n grid, resampled unless that is the model's
+        own grid (n None keeps the model's grid, square or not)."""
+        if n is None or (n, n) == (model.nx, model.ny):
+            return cls(model.lam_grid, model.Lx, model.Ly)
+        return cls(model.resample(n), model.Lx, model.Ly)
 
     @classmethod
     def disk_patch(cls, model, half_width=1.0, n=128):
@@ -89,40 +93,24 @@ class Chart:
     def dx(self, f):
         return np.fft.ifft2(self._ikx * np.fft.fft2(f))
 
-    def dy(self, f):
-        return np.fft.ifft2(self._iky * np.fft.fft2(f))
-
     def dz(self, f):
-        return np.fft.ifft2(0.5 * (self._ikx - 1j * self._iky) * np.fft.fft2(f))
-
-    def dbar(self, f):
-        return np.fft.ifft2(0.5 * (self._ikx + 1j * self._iky) * np.fft.fft2(f))
+        return np.fft.ifft2(self.eta_symbol[0, 0] * np.fft.fft2(f))
 
     def inner(self, f, g):
         return complex(np.sum(self.w * f * np.conj(g)))
 
     def norm2(self, f):
-        return float(np.sum(self.w * np.abs(f) ** 2))
+        """Squared SM norm of a grid, or of each grid of a stack."""
+        return np.sum(self.w * np.abs(f) ** 2, axis=(-2, -1))
 
     def refine(self, factor=2):
         """Chart at a factor-refined grid by trigonometric interpolation."""
-        n = self.nx * factor
-        F = np.fft.fft2(self.lam)
-        out = np.zeros((n, self.ny * factor), dtype=complex)
-        ix = np.fft.fftfreq(self.nx, 1.0 / self.nx).astype(int)
-        iy = np.fft.fftfreq(self.ny, 1.0 / self.ny).astype(int)
-        out[np.ix_(ix, iy)] = F
-        lam = np.real(np.fft.ifft2(out)) * factor * factor
-        return Chart(lam, self.Lx, self.Ly)
+        shape = (self.nx * factor, self.ny * factor)
+        return Chart(resample(self.lam, shape), self.Lx, self.Ly)
 
     def upsample(self, f, factor=2):
-        F = np.fft.fft2(f)
-        n1, n2 = self.nx * factor, self.ny * factor
-        out = np.zeros((n1, n2), dtype=complex)
-        ix = np.fft.fftfreq(self.nx, 1.0 / self.nx).astype(int)
-        iy = np.fft.fftfreq(self.ny, 1.0 / self.ny).astype(int)
-        out[np.ix_(ix, iy)] = F
-        return np.fft.ifft2(out) * factor * factor
+        """f (a grid or a stack of grids) on the factor-refined grid."""
+        return resample(f, (self.nx * factor, self.ny * factor))
 
 
 # ----------------------------------------------------------------------------
@@ -130,63 +118,130 @@ class Chart:
 
 
 class SMField:
-    """Truncated vertical Fourier expansion u = sum_k u_k(x) e^{i k theta}."""
+    """Truncated vertical Fourier expansion u = sum_k u_k(x) e^{i k theta}.
+
+    The modes |k| <= n_modes live in ``data``, a complex (2 n_modes + 1, nx,
+    ny) array with mode k in row k + n_modes.  ``SMField(chart, {k: grid},
+    n_modes)`` puts the grids in the band max(n_modes, max |k|)."""
 
     def __init__(self, chart, modes=None, n_modes=None):
+        modes = modes or {}
+        N = max([n_modes or 0] + [abs(int(k)) for k in modes])
         self.chart = chart
-        self.modes = {}
-        if modes:
-            for k, arr in modes.items():
-                self.modes[int(k)] = np.asarray(arr, dtype=complex)
-        self.n_modes = n_modes if n_modes is not None else \
-            (max((abs(k) for k in self.modes), default=0))
+        self.data = np.zeros((2 * N + 1, chart.nx, chart.ny), dtype=complex)
+        for k, arr in modes.items():
+            self.data[int(k) + N] = arr
+
+    @classmethod
+    def from_array(cls, chart, data):
+        data = np.asarray(data, dtype=complex)
+        if data.ndim != 3 or len(data) % 2 == 0:
+            raise ValueError("a mode array has shape (2N+1, nx, ny)")
+        u = cls.__new__(cls)
+        u.chart, u.data = chart, data
+        return u
+
+    @property
+    def n_modes(self):
+        return len(self.data) // 2
+
+    @property
+    def ks(self):
+        return np.arange(-self.n_modes, self.n_modes + 1)
+
+    @property
+    def modes(self):
+        """{k: row} over the band: a fresh dict of views into ``data``."""
+        return dict(zip(range(-self.n_modes, self.n_modes + 1), self.data))
 
     def get(self, k):
-        arr = self.modes.get(k)
-        if arr is None:
+        if abs(k) > self.n_modes:
             return np.zeros((self.chart.nx, self.chart.ny), dtype=complex)
-        return arr
-
-    def set(self, k, arr):
-        self.modes[int(k)] = np.asarray(arr, dtype=complex)
-        self.n_modes = max(self.n_modes, abs(int(k)))
+        return self.data[k + self.n_modes]
 
     @classmethod
     def random_real(cls, chart, n_modes, spatial_band=4, rng=None, decay=0.0):
         """Band-limited random real field: modes |k| <= n_modes with spatial
-        frequencies |m|, |n| <= spatial_band, conj-symmetrized."""
+        frequencies |m|, |n| <= spatial_band, conj-symmetrized.
+
+        Draws run over k = 0..n_modes, then m, then n.  Mode k is one ifft2
+        of its coefficients in a zero spectrum, where frequencies above the
+        grid's Nyquist band alias as sampled plane waves do."""
         rng = rng or np.random.default_rng()
-        xs = np.arange(chart.nx) * (chart.Lx / chart.nx)
-        ys = np.arange(chart.ny) * (chart.Ly / chart.ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        out = cls(chart, n_modes=n_modes)
-        for k in range(0, n_modes + 1):
-            h = np.zeros_like(X, dtype=complex)
-            amp = np.exp(-decay * abs(k))
-            for m in range(-spatial_band, spatial_band + 1):
-                for n in range(-spatial_band, spatial_band + 1):
-                    c = (rng.normal() + 1j * rng.normal()) * amp
-                    h += c * np.exp(1j * (m * TWO_PI * X / chart.Lx +
-                                          n * TWO_PI * Y / chart.Ly))
-            out.set(k, h)
-            if k > 0:
-                out.set(-k, np.conj(h))
-            else:
-                out.set(0, h + np.conj(h))
-        return out
+        z = rng.normal(size=(n_modes + 1, 2 * spatial_band + 1,
+                             2 * spatial_band + 1, 2))
+        amp = np.exp(-decay * np.arange(n_modes + 1))[:, None, None]
+        freqs = np.arange(-spatial_band, spatial_band + 1)
+        spec = np.zeros((n_modes + 1, chart.nx, chart.ny), dtype=complex)
+        np.add.at(spec, (slice(None), (freqs % chart.nx)[:, None],
+                         freqs % chart.ny), (z[..., 0] + 1j * z[..., 1]) * amp)
+        h = np.fft.ifft2(spec, norm="forward")
+        return cls.from_array(chart, np.concatenate(
+            [np.conj(h[:0:-1]), h[:1] + np.conj(h[:1]), h[1:]]))
 
 
 # ----------------------------------------------------------------------------
 # frame operators
 
 
+def _with_zero_row(stack):
+    return np.concatenate([stack, np.zeros((1,) + stack.shape[1:],
+                                           dtype=stack.dtype)])
+
+
+# Complex products below keep the operand order of a per-mode loop.  A
+# complex product with fused multiply-adds is not bitwise commutative, and
+# numpy swaps the operands of ``a * b`` when it reuses a large temporary b as
+# the output; hence np.multiply where b is a temporary.  Real factors commute.
+
+def _spectral(src, nbr, symbol):
+    """ifft2(symbol * fft2(src)[nbr]) for a (2, n) index array nbr; index
+    len(src) reads a zero row.  The two sides are transformed apart."""
+    F = _with_zero_row(np.fft.fft2(src, axes=(-2, -1)))
+    return np.fft.ifft2(np.multiply(symbol, F[nbr]), axes=(-2, -1))
+
+
+def _ladder_nbr(in_ks, out_ks):
+    """(2, len(out_ks)) rows of an in_ks stack holding the neighbours k-1
+    (eta_+ side) and k+1 (eta_- side) of each output k; len(in_ks) if none."""
+    pos = {k: i for i, k in enumerate(in_ks)}
+    return np.array([[pos.get(k - 1, len(in_ks)) for k in out_ks],
+                     [pos.get(k + 1, len(in_ks)) for k in out_ks]], dtype=int)
+
+
+def _eta_coef(chart, k_up, k_dn):
+    """Pointwise terms of eta_+ on modes k_up and of eta_- on modes k_dn,
+    signed so that each side is (spectral part) + coefficient * h."""
+    k_up, k_dn = (np.asarray(k, float)[:, None, None] for k in (k_up, k_dn))
+    return np.stack([-k_up * chart.dz_lam, k_dn * chart.dbar_lam])
+
+
+def _eta_sides(chart, src, nbr, coef):
+    """The eta_+/- kernel: the (2, n, nx, ny) stack of eta_+ (side 0) and
+    eta_- (side 1) images of the rows nbr of the mode stack src, with the
+    pointwise terms coef.  The sides stay apart, so callers sum them in the
+    order of a per-mode eta loop and the products round as mode by mode."""
+    d = _spectral(src, nbr, chart.eta_symbol)
+    d += np.multiply(coef, _with_zero_row(src)[nbr])
+    d *= chart.emlam
+    return d
+
+
+def _x_sides(u, n_out):
+    """(eta_+ u_{k-1}, eta_- u_{k+1}) for the output modes |k| <= n_out: the
+    two halves of X u and of X_perp u."""
+    ks = np.arange(-n_out, n_out + 1)
+    return _eta_sides(u.chart, u.data, _ladder_nbr(u.ks, ks),
+                      _eta_coef(u.chart, ks - 1, ks + 1))
+
+
 def eta(sign, k, h, chart):
     """eta_+/- applied to the mode-k coefficient field h."""
-    if sign in ("-", -1):
-        return chart.emlam * (chart.dbar(h) + k * chart.dbar_lam * h)
-    if sign in ("+", 1):
-        return chart.emlam * (chart.dz(h) - k * chart.dz_lam * h)
-    raise ValueError("sign must be '+' or '-'")
+    if sign not in ("+", 1, "-", -1):
+        raise ValueError("sign must be '+' or '-'")
+    side = 0 if sign in ("+", 1) else 1
+    nbr = np.array([[side], [1 - side]])     # the other side reads zeros
+    return _eta_sides(chart, h[None], nbr, _eta_coef(chart, [k], [k]))[side, 0]
 
 
 def apply_frame(op, u, truncate=None):
@@ -196,33 +251,22 @@ def apply_frame(op, u, truncate=None):
     unless ``truncate`` caps it."""
     ch = u.chart
     if op == "V":
-        return SMField(ch, {k: 1j * k * v for k, v in u.modes.items()},
-                       u.n_modes)
+        return SMField.from_array(ch, 1j * u.ks[:, None, None] * u.data)
     if op not in ("X", "Xperp"):
         raise ValueError("op must be one of 'X', 'Xperp', 'V'")
-    N = u.n_modes + 1 if truncate is None else truncate
-    out = SMField(ch, n_modes=N)
-    ks = set()
-    for k in u.modes:
-        ks.update((k - 1, k + 1))
-    for k in ks:
-        if abs(k) > N:
-            continue
-        up = eta("+", k - 1, u.get(k - 1), ch)
-        dn = eta("-", k + 1, u.get(k + 1), ch)
-        out.set(k, up + dn if op == "X" else -1j * (up - dn))
-    return out
+    up, dn = _x_sides(u, u.n_modes + 1 if truncate is None else truncate)
+    return SMField.from_array(ch, up + dn if op == "X" else -1j * (up - dn))
 
 
 def inner(u, v):
-    tot = 0.0 + 0.0j
-    for k in set(u.modes) | set(v.modes):
-        tot += u.chart.inner(u.get(k), v.get(k))
-    return tot
+    N = min(u.n_modes, v.n_modes)    # modes outside either band add nothing
+    a = u.data[u.n_modes - N:u.n_modes + N + 1]
+    b = v.data[v.n_modes - N:v.n_modes + N + 1]
+    return complex(np.sum(u.chart.w * a * np.conj(b)))
 
 
 def norm2(u):
-    return float(sum(u.chart.norm2(v) for v in u.modes.values()))
+    return float(np.sum(u.chart.norm2(u.data)))
 
 
 def norm(u):
@@ -230,16 +274,20 @@ def norm(u):
 
 
 def h1_norm2(u):
-    return (norm2(apply_frame("X", u)) + norm2(apply_frame("Xperp", u))
-            + norm2(apply_frame("V", u)) + norm2(u))
+    return _h1_norm2(u, *_x_sides(u, u.n_modes + 1))
+
+
+def _h1_norm2(u, up, dn):
+    """||Xu||^2 + ||X_perp u||^2 + ||Vu||^2 + ||u||^2 from the eta sides of
+    u (|X_perp u| = |eta_+ - eta_-| pointwise)."""
+    ch = u.chart
+    return (float(np.sum(ch.norm2(up + dn))) + float(np.sum(ch.norm2(up - dn)))
+            + float(np.sum((1.0 + u.ks ** 2) * ch.norm2(u.data))))
 
 
 def mixed_norm(u, s):
     """L^2_x H^s_theta norm: (sum_k <k>^{2s} ||u_k||^2)^{1/2}."""
-    tot = 0.0
-    for k, v in u.modes.items():
-        tot += (1.0 + k * k) ** s * u.chart.norm2(v)
-    return np.sqrt(tot)
+    return np.sqrt(np.sum((1.0 + u.ks ** 2.0) ** s * u.chart.norm2(u.data)))
 
 
 # ----------------------------------------------------------------------------
@@ -250,12 +298,13 @@ def pestov_residual(u, chart=None):
     """|  ||XVu||^2 - (K Vu, Vu) + ||Xu||^2 - ||VXu||^2  | / ||u||_{H^1}^2."""
     ch = chart or u.chart
     Vu = apply_frame("V", u)
-    XVu = apply_frame("X", Vu)
-    Xu = apply_frame("X", u)
-    VXu = apply_frame("V", Xu)
-    KVV = sum(np.real(ch.inner(ch.K * v, v)) for v in Vu.modes.values())
-    lhs = norm2(XVu) - KVV + norm2(Xu) - norm2(VXu)
-    return abs(lhs) / h1_norm2(u)
+    up, dn = _x_sides(u, u.n_modes + 1)
+    xn2 = u.chart.norm2(up + dn)                # ||(Xu)_k||^2
+    ks = np.arange(-u.n_modes - 1, u.n_modes + 2)
+    KVV = float(np.sum(ch.w * ch.K * np.abs(Vu.data) ** 2))
+    lhs = (norm2(apply_frame("X", Vu)) - KVV + float(np.sum(xn2))
+           - float(np.sum(ks ** 2 * xn2)))
+    return abs(lhs) / _h1_norm2(u, up, dn)
 
 
 # ----------------------------------------------------------------------------
@@ -303,6 +352,15 @@ def alpha_lower_bound(model, n_modes=3, spatial_band=2, n_grid=48):
     return _alpha_gep_on_chart(ch, n_modes, spatial_band)
 
 
+def bump(t):
+    """C-infinity bump of the scaled radius-squared t; 1 at t=0, 0 for t>=1."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = t < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside]))
+    return out
+
+
 def _patch_window(ch, support_frac=0.95, max_radius=0.62):
     """Smooth radial bump on a box chart, vanishing with all derivatives at
     the support radius (kept inside the octagon's inscribed circle)."""
@@ -310,11 +368,7 @@ def _patch_window(ch, support_frac=0.95, max_radius=0.62):
     r0 = min(support_frac * hw, max_radius)
     xs = -hw + np.arange(ch.nx) * (ch.Lx / ch.nx)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    t = (X ** 2 + Y ** 2) / r0 ** 2
-    out = np.zeros_like(t)
-    inside = t < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside]))
-    return out
+    return bump((X ** 2 + Y ** 2) / r0 ** 2)
 
 
 def octagon_mode0_field(model, rng=None, spatial_band=2, half_width=0.55,
@@ -332,39 +386,31 @@ def octagon_mode0_field(model, rng=None, spatial_band=2, half_width=0.55,
             c = rng.normal() + 1j * rng.normal()
             f0 += c * np.exp(1j * TWO_PI * (m * X / ch.Lx + nn * Y / ch.Ly))
     f0 = 0.5 * (f0 + np.conj(f0)) * win
-    return SMField(ch, {0: f0})
+    return SMField.from_array(ch, f0[None])
 
 
 def _alpha_gep_on_chart(ch, n_modes, spatial_band, window=None):
+    """The forms B = (X b_i, X b_j) and A = B - (K b_i, b_j) over the basis
+    b_i = h_s e^{ik theta}, k outer, plane wave h_s inner.  X b_i is eta_+ h_s
+    on mode k+1 and eta_- h_s on mode k-1; two sides meet where their modes
+    agree."""
     xs = np.arange(ch.nx) * (ch.Lx / ch.nx)
     ys = np.arange(ch.ny) * (ch.Ly / ch.ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    basis = []
-    for k in range(-n_modes, n_modes + 1):
-        for m in range(-spatial_band, spatial_band + 1):
-            for n in range(-spatial_band, spatial_band + 1):
-                h = np.exp(1j * (m * TWO_PI * X / ch.Lx + n * TWO_PI * Y / ch.Ly))
-                if window is not None:
-                    h = h * window
-                basis.append((k, h))
-    Xb = []
-    for k, h in basis:
-        f = SMField(ch, {k: h})
-        Xb.append(apply_frame("X", f))
-    d = len(basis)
-    A = np.zeros((d, d), dtype=complex)
-    B = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(i, d):
-            gx = inner(Xb[i], Xb[j])
-            ki, hi = basis[i]
-            kj, hj = basis[j]
-            gk = ch.inner(ch.K * hi, hj) if ki == kj else 0.0
-            B[i, j] = gx
-            A[i, j] = gx - gk
-            if j > i:
-                B[j, i] = np.conj(gx)
-                A[j, i] = np.conj(A[i, j])
+    H = np.array([np.exp(1j * (m * TWO_PI * X / ch.Lx + n * TWO_PI * Y / ch.Ly))
+                  for m in range(-spatial_band, spatial_band + 1)
+                  for n in range(-spatial_band, spatial_band + 1)])
+    if window is not None:
+        H = H * window
+    ks = np.repeat(np.arange(-n_modes, n_modes + 1), len(H))
+    src = np.tile(np.arange(len(H)), 2 * n_modes + 1)
+    sides = _eta_sides(ch, H, np.stack([src, src]), _eta_coef(ch, ks, ks))
+    sides, at = sides.reshape(2, len(ks), -1), (ks + 1, ks - 1)
+    w = ch.w.ravel()
+    B = sum((sides[a] * w) @ np.conj(sides[b]).T * (at[a][:, None] == at[b])
+            for a in (0, 1) for b in (0, 1))
+    Hb = H.reshape(len(H), -1)[src]
+    A = B - (ch.K.ravel() * w * Hb) @ np.conj(Hb).T * (ks[:, None] == ks)
     return _deflate_gep(A, B)
 
 
@@ -379,11 +425,7 @@ def alpha_lower_bound_profile(profile, n_freq=48):
     Khat = np.fft.fft(profile(ts)) / ngrid
     js = np.arange(-n_freq, n_freq + 1)
     om = TWO_PI * js / T
-    d = len(js)
-    Kmat = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            Kmat[i, j] = Khat[(js[j] - js[i]) % ngrid]
+    Kmat = Khat[(js[None, :] - js[:, None]) % ngrid]
     B = np.diag(om.astype(float) ** 2)
     A = B - np.conj(Kmat).T * 0.5 - Kmat * 0.5   # hermitize K term
     return _deflate_gep(A, B)
@@ -401,38 +443,39 @@ def p_operator(u):
 def q_operator(u, m):
     """Q u = T V X u (projection onto vertical modes |k| >= m+1)."""
     Pu = p_operator(u)
-    return SMField(u.chart, {k: v for k, v in Pu.modes.items() if abs(k) >= m + 1},
-                   Pu.n_modes)
+    keep = (np.abs(Pu.ks) >= m + 1)[:, None, None]
+    return SMField.from_array(u.chart, np.where(keep, Pu.data, 0.0))
 
 
 def q1_identity_gap(u, m):
     """| ||Pu||^2 - sum_{|k|<=m} k^2 ||(Xu)_k||^2 - ||Qu||^2 | (exact
     bookkeeping: should be machine zero)."""
     Xu = apply_frame("X", u)
-    Pu = p_operator(u)
-    Qu = q_operator(u, m)
-    low = sum(k * k * u.chart.norm2(Xu.get(k)) for k in range(-m, m + 1))
-    return abs(norm2(Pu) - low - norm2(Qu))
+    low = float(np.sum(np.where(np.abs(Xu.ks) <= m,
+                                Xu.ks ** 2 * Xu.chart.norm2(Xu.data), 0.0)))
+    return abs(norm2(p_operator(u)) - low - norm2(q_operator(u, m)))
 
 
 def verify_quantitative_inequality(u, m, alpha_hat, tol=1e-8):
     """Both sides of the alpha-controlled lower bound for ||Qu||^2 on fields
     supported in |k| >= m; returns the slack (lhs - rhs, should be >= -tol)."""
-    if any(abs(k) < m for k in u.modes if np.any(u.get(k))):
+    if np.any(u.data[np.abs(u.ks) < m]):
         raise ValueError(f"u must be supported on |k| >= {m}")
     ch = u.chart
-    Qu = q_operator(u, m)
-    Xu = apply_frame("X", u)
-    XVu = apply_frame("X", apply_frame("V", u))
-    em1 = ch.norm2(eta("-", m + 1, u.get(m + 1), ch))
-    ep1 = ch.norm2(eta("+", -(m + 1), u.get(-(m + 1)), ch))
-    em0 = ch.norm2(eta("-", m, u.get(m), ch))
-    ep0 = ch.norm2(eta("+", -m, u.get(-m), ch))
-    v2 = sum(ch.norm2(Xu.get(k)) for k in Xu.modes if abs(k) >= m + 1)
-    w2 = sum(ch.norm2(XVu.get(k)) for k in XVu.modes if abs(k) >= m + 1)
+    M = max(u.n_modes, m) + 1
+    up, dn = _x_sides(u, M)      # rows: output modes -M..M
+    # eta_- of u_{m+1} and u_m, eta_+ of u_{-m-1} and u_{-m}
+    em1, em0 = ch.norm2(dn[m + M]), ch.norm2(dn[m - 1 + M])
+    ep1, ep0 = ch.norm2(up[-m + M]), ch.norm2(up[1 - m + M])
+    ks = np.arange(-M, M + 1)
+    high = np.abs(ks) >= m + 1
+    xn2 = ch.norm2(up + dn)
+    v2 = float(np.sum(xn2[high]))
+    XVu = apply_frame("X", apply_frame("V", u), truncate=M)
+    w2 = float(np.sum(ch.norm2(XVu.data)[high]))
     c1 = 1.0 - m ** 2 + alpha_hat * (m + 1) ** 2
     c2 = 1.0 - (m - 1) ** 2 + alpha_hat * m ** 2
-    lhs = norm2(Qu)
+    lhs = float(np.sum((ks ** 2 * xn2)[high]))     # ||Qu||^2
     rhs = c1 * (em1 + ep1) + c2 * (em0 + ep0) + alpha_hat * w2 + v2
     return {"lhs": lhs, "rhs": rhs, "slack": lhs - rhs,
             "coefficients": (c1, c2), "ok": lhs - rhs >= -tol * max(1.0, lhs)}
@@ -445,16 +488,12 @@ def verify_quantitative_inequality(u, m, alpha_hat, tol=1e-8):
 class _LadderOperator:
     """Exact-adjoint discretization of h -> A h in whitened coordinates.
 
-    ``kind`` selects A: "P*" is XV, "Q*" is XVT (T projecting |k| >= m+1),
-    "X" is plain X with prescribed-mode holes (used by invariant_extension:
-    unknowns are the free modes, fixed modes enter the right-hand side).
-    Input band: modes in ``in_ks``; output band: modes in ``out_ks``.
-
-    Fields are stacks of shape (n_modes, nx, ny), one row per mode of the
-    band, so each product is one fft2 and one ifft2 over a whole stack.  The
-    ladder neighbours of each mode are gathered by index arrays; a missing
-    neighbour (a hole in the band, or an output below ``T_floor``) points at
-    the zero row appended to the gathered stack.
+    A = X V^V_power from the modes ``in_ks`` to the modes ``out_ks``, with
+    the outputs |k| < ``T_floor`` projected out: P* = XV, Q* = XVT, and plain
+    X with prescribed-mode holes for invariant_extension.  Fields are
+    (len(ks), nx, ny) stacks; the forward map is the eta kernel between
+    whitenings, and a missing neighbour (a hole in the band, or an output
+    below ``T_floor``) reads the zero row appended to the gathered stack.
     """
 
     def __init__(self, chart, in_ks, out_ks, V_power=1, T_floor=None):
@@ -463,35 +502,23 @@ class _LadderOperator:
         self.out_ks = list(out_ks)
         self.V_power = V_power
         self.T_floor = T_floor
-        self.ngrid = chart.nx * chart.ny
-        self.shape = (2 * len(self.out_ks) * self.ngrid,
-                      2 * len(self.in_ks) * self.ngrid)
-        n_in, n_out = len(self.in_ks), len(self.out_ks)
-        ipos = {k: i for i, k in enumerate(self.in_ks)}
-        opos = {k: a for a, k in enumerate(self.out_ks)
-                if self.T_floor is None or abs(k) >= self.T_floor}
-        # Neighbour rows, the k-1 side first and the k+1 side second:
-        # out-mode k reads in-modes k-1 and k+1, in-mode k is read by
-        # out-modes k+1 and k-1.  Index n_in (n_out) is the zero row.
-        self._fwd_nbr = np.array(
-            [ipos.get(k - 1, n_in) if k in opos else n_in for k in self.out_ks]
-            + [ipos.get(k + 1, n_in) if k in opos else n_in
-               for k in self.out_ks], dtype=int)
-        self._adj_nbr = np.array([opos.get(k + 1, n_out) for k in self.in_ks]
-                                 + [opos.get(k - 1, n_out) for k in self.in_ks],
-                                 dtype=int)
-        ks_out = np.array(self.out_ks, dtype=float)[:, None, None]
+        ngrid = chart.nx * chart.ny
+        self.shape = (2 * len(self.out_ks) * ngrid, 2 * len(self.in_ks) * ngrid)
+        ks_out = np.array(self.out_ks)
+        self._fwd_nbr = _ladder_nbr(self.in_ks, self.out_ks)
+        read = self.out_ks          # the outputs that read their neighbours
+        if self.T_floor is not None:
+            self._fwd_nbr[:, np.abs(ks_out) < self.T_floor] = len(self.in_ks)
+            read = [k if abs(k) >= self.T_floor else None for k in read]
+        # in-mode k is read by out-mode k+1 (its eta_+ side) and by out-mode
+        # k-1 (its eta_- side)
+        self._adj_nbr = _ladder_nbr(read, self.in_ks)[::-1]
         ks_in = np.array(self.in_ks, dtype=float)[:, None, None]
         self._vmul = 1j * ks_in if V_power else None
-        SZ = 0.5 * (chart._ikx - 1j * chart._iky)   # symbols of dz, dbar
-        SB = 0.5 * (chart._ikx + 1j * chart._iky)
-        self._fwd_symbol = np.stack([SZ, SB])[:, None]
-        self._adj_symbol = np.stack([SB, SZ])[:, None]
-        # pointwise parts of eta_+/- and of their adjoints, signed so that
-        # each side is (transformed part) + coefficient * neighbour
-        self._fwd_coef = np.concatenate([-(ks_out - 1) * chart.dz_lam,
-                                         (ks_out + 1) * chart.dbar_lam])
-        self._adj_coef = np.concatenate(
+        self._fwd_coef = _eta_coef(chart, ks_out - 1, ks_out + 1)
+        # pointwise parts of the adjoints of eta_+/-, signed so that each side
+        # is (transformed part) + coefficient * neighbour
+        self._adj_coef = np.stack(
             [-(ks_in * np.conj(chart.dz_lam) * chart.emlam),
              ks_in * np.conj(chart.dbar_lam) * chart.emlam])
 
@@ -511,37 +538,14 @@ class _LadderOperator:
         out[:, 1] = stack.imag
         return out.ravel()
 
-    @staticmethod
-    def _with_zero_row(stack):
-        return np.concatenate([stack, np.zeros((1,) + stack.shape[1:],
-                                               dtype=stack.dtype)])
-
-    # Complex products below keep the operand order of a per-mode loop.  A
-    # complex product with fused multiply-adds is not bitwise commutative,
-    # and numpy swaps the operands of ``a * b`` when it reuses a large
-    # temporary b as the output; hence np.multiply where b is a temporary.
-
-    def _spectral(self, src, nbr, symbol):
-        """ifft2(symbol * fft2(src)[nbr]) with rows [0, n) on the k-1 side
-        and [n, 2n) on the k+1 side.  The two sides are transformed apart
-        and summed afterwards, in the order of a per-mode eta loop, so the
-        products round exactly as mode by mode."""
-        F = self._with_zero_row(np.fft.fft2(src, axes=(-2, -1)))
-        n, grid = len(nbr) // 2, F.shape[1:]
-        Fn = np.multiply(symbol, F[nbr].reshape((2, n) + grid))
-        return np.fft.ifft2(Fn.reshape((2 * n,) + grid), axes=(-2, -1))
-
     def _forward(self, h):
         """A applied to the in-mode stack h (whitened in/out)."""
-        ch, nbr = self.ch, self._fwd_nbr
+        ch = self.ch
         vh = h / ch.sqrt_w
         if self._vmul is not None:
             vh = self._vmul * vh
-        d = self._spectral(vh, nbr, self._fwd_symbol)
-        p = np.multiply(self._fwd_coef, self._with_zero_row(vh)[nbr])
-        eta_pm = ch.emlam * (d + p)
-        n = len(self.out_ks)
-        return (eta_pm[:n] + eta_pm[n:]) * ch.sqrt_w
+        up, dn = _eta_sides(ch, vh, self._fwd_nbr, self._fwd_coef)
+        return (up + dn) * ch.sqrt_w
 
     def _adjoint(self, g):
         """Exact discrete adjoint of _forward.  In unweighted l2 the adjoint
@@ -550,10 +554,9 @@ class _LadderOperator:
         e^{-lam} g."""
         ch, nbr = self.ch, self._adj_nbr
         t = ch.sqrt_w * g
-        d = self._spectral(ch.emlam * t, nbr, self._adj_symbol)
-        adj_pm = -d + np.multiply(self._adj_coef, self._with_zero_row(t)[nbr])
-        n = len(self.in_ks)
-        acc = adj_pm[:n] + adj_pm[n:]
+        d = _spectral(ch.emlam * t, nbr, ch.eta_symbol[::-1])
+        adj_pm = -d + np.multiply(self._adj_coef, _with_zero_row(t)[nbr])
+        acc = adj_pm[0] + adj_pm[1]
         if self._vmul is not None:
             acc = np.conj(self._vmul) * acc
         return acc / ch.sqrt_w
@@ -586,12 +589,12 @@ class _LadderOperator:
         (a helper of its own, so that B and B^H B are freed before N(xi) is
         assembled)."""
         ch = self.ch
-        symbols = np.broadcast_to(self._fwd_symbol[:, 0], (2, ch.nx, ch.ny))
+        symbols = np.broadcast_to(ch.eta_symbol[:, 0], (2, ch.nx, ch.ny))
         elam = np.exp(-np.mean(ch.lam))
         n_in, n_out = len(self.in_ks), len(self.out_ks)
         vmul = [1j * k if self.V_power else 1.0 for k in self.in_ks]
         B = np.zeros((ch.nx, ch.ny, n_out, n_in), dtype=complex)
-        for r, i in enumerate(self._fwd_nbr):
+        for r, i in enumerate(self._fwd_nbr.ravel()):
             if i < n_in:        # row r: side r // n_out of out-mode r % n_out
                 B[..., r % n_out, i] = elam * symbols[r // n_out] * vmul[i]
         G = np.conj(np.swapaxes(B, -1, -2)) @ B
@@ -606,18 +609,16 @@ class _LadderOperator:
         return np.fft.ifft2(np.einsum("xyij,jxy->ixy", self._M, Y),
                             axes=(-2, -1))
 
-    def solve(self, rhs_fields, reg=1e-10, iter_lim=400):
-        """Min-norm damped least squares A h = rhs (whitened internally).
+    def solve(self, rhs, reg=1e-10, iter_lim=400):
+        """Min-norm damped least squares A h = rhs (whitened internally), for
+        rhs the (len(out_ks), nx, ny) stack of the output modes.
 
-        Returns the mode dict h, the relative residual, and lsqr's stop
+        Returns the in-mode stack h, the relative residual, and lsqr's stop
         reason ``istop`` and iteration count."""
         from scipy.sparse.linalg import lsqr, LinearOperator
 
         ch = self.ch
-        rhs = np.zeros((len(self.out_ks), ch.nx, ch.ny), dtype=complex)
-        for a, k in enumerate(self.out_ks):
-            if k in rhs_fields:
-                rhs[a] = rhs_fields[k] * ch.sqrt_w
+        rhs = rhs * ch.sqrt_w
         self._build_precond()
 
         def mv(y):
@@ -630,12 +631,11 @@ class _LadderOperator:
         res = lsqr(AM, self._pack(rhs), damp=np.sqrt(reg), atol=1e-14,
                    btol=1e-14, iter_lim=iter_lim)
         h = self._precondition(self._unpack(res[0])) / ch.sqrt_w
-        # relative residual norm in the weighted inner product
-        d = self._forward(h * ch.sqrt_w) - rhs
-        r2 = sum(float(np.sum(np.abs(dk) ** 2)) for dk in d)
-        b2 = sum(float(np.sum(np.abs(bk) ** 2)) for bk in rhs)
-        return (dict(zip(self.in_ks, h)), np.sqrt(r2 / max(b2, 1e-300)),
-                int(res[1]), int(res[2]))
+        # relative residual in the weighted norm, rows summed in mode order
+        r2 = sum(np.sum(np.abs(self._forward(h * ch.sqrt_w) - rhs) ** 2,
+                        axis=(-2, -1)).tolist())
+        b2 = sum(np.sum(np.abs(rhs) ** 2, axis=(-2, -1)).tolist())
+        return h, np.sqrt(r2 / max(b2, 1e-300)), int(res[1]), int(res[2])
 
 
 def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
@@ -660,9 +660,9 @@ def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
     else:
         out_ks = [k for k in range(-N - 1, N + 2) if abs(k) >= m + 1]
         op = _LadderOperator(ch, in_ks, out_ks, V_power=1, T_floor=m + 1)
-    h, resid, _, _ = op.solve({k: f.get(k) for k in f.modes}, reg=reg,
+    h, resid, _, _ = op.solve(np.array([f.get(k) for k in out_ks]), reg=reg,
                               iter_lim=iter_lim)
-    return SMField(ch, h, N), resid
+    return SMField.from_array(ch, h), resid
 
 
 # ----------------------------------------------------------------------------
@@ -673,14 +673,16 @@ def ladder_residual(w):
     """Per-mode transport residuals ||eta_+ w_{k-1} + eta_- w_{k+1}||.
 
     Modes k with |k| in {N-1, N} are truncation-affected and flagged."""
-    ch = w.chart
     N = w.n_modes
-    out = {}
-    for k in range(-N + 1, N):
-        r = eta("+", k - 1, w.get(k - 1), ch) + eta("-", k + 1, w.get(k + 1), ch)
-        out[k] = {"residual": np.sqrt(ch.norm2(r)),
-                  "truncation_affected": abs(k) >= N - 1}
-    return out
+    up, dn = _x_sides(w, N - 1)
+    res = np.sqrt(w.chart.norm2(up + dn))
+    return {k: {"residual": r, "truncation_affected": abs(k) >= N - 1}
+            for k, r in zip(range(-N + 1, N), res)}
+
+
+def _mode(data, k):
+    """Mode k of an SMField, or a grid as it is."""
+    return data.get(k) if isinstance(data, SMField) else data
 
 
 def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
@@ -701,20 +703,17 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
     if variant == "w0":
         f = data
         ch = f.chart
-        fixed = {0: f.get(0)}
+        fixed_ks, fixed = [0], [f.get(0)]
         free = [k for k in range(-n_modes, n_modes + 1) if k % 2 == 0 and k != 0]
         out_ks = [k for k in range(-n_modes + 1, n_modes) if abs(k) % 2 == 1]
     elif variant == "w1":
-        if isinstance(data, tuple):
-            am1, a1 = data
-        else:
-            am1, a1 = None, data
+        am1, a1 = data if isinstance(data, tuple) else (None, data)
         ch = a1.chart if hasattr(a1, "chart") else am1.chart
-        fixed = {1: a1.get(1) if isinstance(a1, SMField) else a1}
+        fixed_ks, fixed = [1], [_mode(a1, 1)]
         if am1 is not None:
-            fixed[-1] = am1.get(-1) if isinstance(am1, SMField) else am1
+            fixed_ks, fixed = [1, -1], fixed + [_mode(am1, -1)]
         free = [k for k in range(-n_modes, n_modes + 1)
-                if abs(k) % 2 == 1 and k not in fixed and
+                if abs(k) % 2 == 1 and k not in fixed_ks and
                 (am1 is not None or k > 0)]
         out_ks = [k for k in range(-n_modes + 1, n_modes) if k % 2 == 0]
         if am1 is None:
@@ -722,40 +721,35 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
     elif variant == "wm":
         q_m, m = data
         ch = q_m.chart
-        fixed = {m: q_m.get(m) if isinstance(q_m, SMField) else q_m}
+        fixed_ks, fixed = [m], [_mode(q_m, m)]
         free = [k for k in range(m + 2, n_modes + 1) if (k - m) % 2 == 0]
         out_ks = [k for k in range(m - 1, n_modes) if (k - m) % 2 == 1]
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
+    fixed = np.array(fixed, dtype=complex)
     op = _LadderOperator(ch, free, out_ks, V_power=0)
     # rhs: -X(fixed part) on the output band
-    rhs = {}
-    for k in out_ks:
-        acc = np.zeros((ch.nx, ch.ny), dtype=complex)
-        if (k - 1) in fixed:
-            acc += eta("+", k - 1, fixed[k - 1], ch)
-        if (k + 1) in fixed:
-            acc += eta("-", k + 1, fixed[k + 1], ch)
-        if np.any(acc):
-            rhs[k] = -acc
+    ks = np.array(out_ks)
+    rhs = -np.add(*_eta_sides(ch, fixed, _ladder_nbr(fixed_ks, out_ks),
+                              _eta_coef(ch, ks - 1, ks + 1)))
     if free:
         h, resid, istop, itn = op.solve(
             rhs, reg=reg, iter_lim=iter_lim or max(400, 100 * n_modes))
     else:
-        h, resid = {}, np.sqrt(sum(ch.norm2(v) for v in rhs.values()))
+        h = np.zeros((0, ch.nx, ch.ny), dtype=complex)
+        resid = np.sqrt(float(np.sum(ch.norm2(rhs))))
         istop, itn = None, 0
-    w = SMField(ch, {**fixed, **h}, n_modes)
+    w = SMField(ch, n_modes=n_modes)
+    w.data[np.array(fixed_ks) + n_modes] = fixed
+    w.data[np.array(free, dtype=int) + n_modes] = h
     lad = ladder_residual(w)
     interior = {k: v["residual"] for k, v in lad.items()
                 if not v["truncation_affected"]}
     # mode-decay slope: log ||w_k|| vs log <k>
-    ks, ns = [], []
-    for k, v in w.modes.items():
-        nk = np.sqrt(ch.norm2(v))
-        if k > 0 and nk > 1e-300:
-            ks.append(0.5 * np.log(1.0 + k * k))
-            ns.append(np.log(nk))
+    nk = np.sqrt(ch.norm2(w.data))
+    pos = (w.ks > 0) & (nk > 1e-300)
+    ks, ns = 0.5 * np.log(1.0 + w.ks[pos] ** 2.0), np.log(nk[pos])
     slope = float(np.polyfit(ks, ns, 1)[0]) if len(ks) > 1 else 0.0
     diag = {"solver_residual": resid, "ladder": lad,
             "interior_max": max(interior.values()) if interior else 0.0,
@@ -775,28 +769,21 @@ def fourier_product(u, v, s=1.0, t=1.0):
     spatial Nyquist band; reports the per-mode L^1 ratio against
     <k>^{s+t} ||u||_{L2 H^{-s}} ||v||_{L2 H^{-t}} and, for transport-invariant
     inputs, the interior residual of Xw."""
-    if any(k < 0 and np.any(u.get(k)) for k in u.modes) or \
-            any(k < 0 and np.any(v.get(k)) for k in v.modes):
+    Nu, Nv = u.n_modes, v.n_modes
+    if np.any(u.data[:Nu]) or np.any(v.data[:Nv]):
         raise ValueError("inputs must be holomorphic (modes k >= 0)")
     ch = u.chart
     fine = ch.refine(2)
-    Nu = max((k for k in u.modes), default=0)
-    Nv = max((k for k in v.modes), default=0)
-    uf = {k: ch.upsample(u.get(k)) for k in range(Nu + 1)}
-    vf = {k: ch.upsample(v.get(k)) for k in range(Nv + 1)}
-    w = SMField(fine, n_modes=Nu + Nv)
-    for k in range(Nu + Nv + 1):
-        acc = np.zeros((fine.nx, fine.ny), dtype=complex)
-        for j in range(max(0, k - Nv), min(Nu, k) + 1):
-            acc += uf[j] * vf[k - j]
-        w.set(k, acc)
-    Uu = mixed_norm(SMField(fine, uf), -s)
-    Vv = mixed_norm(SMField(fine, vf), -t)
-    ratios = {}
-    for k in range(Nu + Nv + 1):
-        l1 = float(np.sum(fine.w * np.abs(w.get(k))))
-        denom = (1.0 + k * k) ** ((s + t) / 2.0) * Uu * Vv
-        ratios[k] = l1 / denom if denom > 0 else 0.0
+    U, V = (SMField.from_array(fine, ch.upsample(f.data)) for f in (u, v))
+    N = Nu + Nv
+    w = SMField(fine, n_modes=N)
+    for j in range(Nu + 1):
+        w.data[N + j:N + j + Nv + 1] += U.data[Nu + j] * V.data[Nv:]
+    Uu, Vv = mixed_norm(U, -s), mixed_norm(V, -t)
+    l1 = np.sum(fine.w * np.abs(w.data[N:]), axis=(-2, -1))
+    denom = (1.0 + np.arange(N + 1) ** 2.0) ** ((s + t) / 2.0) * Uu * Vv
+    ratios = dict(enumerate(np.divide(l1, denom, out=np.zeros_like(l1),
+                                      where=denom > 0).tolist()))
     lad = ladder_residual(w)
     interior = [val["residual"] for key, val in lad.items()
                 if not val["truncation_affected"] and key >= 0]

@@ -13,6 +13,7 @@ import numpy as np
 
 from .geometry import (FuchsianOctagon, ConformalTorus, ConstantCurvature,
                        ClosedGeodesic)
+from .smfourier import bump
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,15 +29,6 @@ class Mode:
         self.val = val
         self.dz = dz
         self.dbar = dbar
-
-
-def _bump(t):
-    """C-infinity bump of the scaled radius-squared t; 1 at t=0, 0 for t>=1."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = t < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside]))
-    return out
 
 
 def _bump_prime(t):
@@ -56,7 +48,7 @@ def windowed_trig_mode(mn, r0=0.57, omega0=None):
 
     def val(x, y):
         t = (x ** 2 + y ** 2) / r0 ** 2
-        return _bump(t) * np.exp(1j * om * (m * x + n * y))
+        return bump(t) * np.exp(1j * om * (m * x + n * y))
 
     def dz(x, y):
         z = x + 1j * y
@@ -64,14 +56,14 @@ def windowed_trig_mode(mn, r0=0.57, omega0=None):
         E = np.exp(1j * om * (m * x + n * y))
         # d/dz of t is conj(z)/r0^2; d/dz of the phase is i om (m - i n)/2
         return (_bump_prime(t) * np.conj(z) / r0 ** 2
-                + _bump(t) * 0.5j * om * (m - 1j * n)) * E
+                + bump(t) * 0.5j * om * (m - 1j * n)) * E
 
     def dbar(x, y):
         z = x + 1j * y
         t = (z * np.conj(z)).real / r0 ** 2
         E = np.exp(1j * om * (m * x + n * y))
         return (_bump_prime(t) * z / r0 ** 2
-                + _bump(t) * 0.5j * om * (m + 1j * n)) * E
+                + bump(t) * 0.5j * om * (m + 1j * n)) * E
 
     return Mode(val, dz, dbar)
 

@@ -1,6 +1,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from anosovlab import cli
@@ -103,6 +104,29 @@ class TestConfigHandling:
         assert not out.exists() or not any(out.iterdir())
 
 
+    @pytest.mark.parametrize("key", ["nx", "ny", "Lx", "Ly"])
+    @pytest.mark.parametrize("val", ["0", "-1", "2.5", "true", '"8"',
+                                     "1e999"])
+    def test_torus_size_checked(self, tmp_path, key, val):
+        # written as raw JSON text: 1e999 parses to infinity
+        p = tmp_path / "cfg.json"
+        p.write_text('{"surface": {"type": "conformal_torus", "nx": 8, '
+                     f'"ny": 8, "lambda": "0", "{key}": {val}}}, '
+                     '"n_modes": 3, "grid": 8}')
+        out = tmp_path / "out"
+        rc = cli.main(["invariant", "--config", str(p), "--out", str(out)])
+        if key.startswith("L") and val == "2.5":    # a valid box length
+            assert rc in (cli.EXIT_OK, cli.EXIT_SOLVER)
+        else:
+            assert rc == cli.EXIT_CONFIG
+            assert not out.exists() or not any(out.iterdir())
+
+    def test_workers_option_is_gone(self, tmp_path):
+        path = _write(tmp_path, "cfg.json", {"surface": SPHERE})
+        with pytest.raises(SystemExit):
+            cli.main(["terminator", "--config", path, "--workers", "2"])
+
+
 class TestCommands:
     def test_terminator_sphere(self, tmp_path):
         rc, out = _run(tmp_path, "terminator", {"surface": SPHERE})
@@ -134,6 +158,51 @@ class TestCommands:
         lines = (out / "pestov_residuals.csv").read_text().strip().split("\n")
         assert lines[0] == "field,grid,residual"
         assert len(lines) == 1 + 2 * 2   # 2 fields x 2 grids
+
+    def test_pestov_draws_a_new_field_each_time(self, tmp_path):
+        cfg = {"surface": OCTAGON, "n_modes": 2, "spatial_band": 2,
+               "grid": 16}
+        _, one = _run(tmp_path, "pestov", {**cfg, "n_fields": 1}, sub="one")
+        _, two = _run(tmp_path, "pestov", {**cfg, "n_fields": 2}, sub="two")
+        rows = [line.split(",") for line in
+                (two / "pestov_residuals.csv").read_text().split()[1:]]
+        coarse = [r[2] for r in rows if r[1] == "16"]
+        assert len(coarse) == 2 and coarse[0] != coarse[1]
+        # field 0 keeps its draw
+        assert (one / "pestov_residuals.csv").read_text().split()[1:3] == \
+            (two / "pestov_residuals.csv").read_text().split()[1:3]
+
+    def test_pestov_same_field_on_both_grids(self, tmp_path, monkeypatch):
+        from anosovlab import smfourier as sf
+        seen = []
+        residual = sf.pestov_residual
+        monkeypatch.setattr(sf, "pestov_residual",
+                            lambda u: seen.append(u) or residual(u))
+        cfg = {"surface": FLAT, "n_fields": 2, "n_modes": 2,
+               "spatial_band": 2, "grid": 16}
+        assert _run(tmp_path, "pestov", cfg)[0] == cli.EXIT_OK
+        coarse, fine = seen[0::2], seen[1::2]
+        for c, f in zip(coarse, fine):
+            assert np.allclose(f.data[:, ::2, ::2], c.data, atol=1e-12)
+        assert not np.allclose(coarse[0].data, coarse[1].data)
+
+    def test_pestov_torus_grid_covers_nx_and_ny(self, tmp_path):
+        torus = {"type": "conformal_torus", "nx": 16, "ny": 32,
+                 "lambda": "0.1*cos(x)*sin(y)"}
+        cfg = {"surface": torus, "n_fields": 1, "n_modes": 2,
+               "spatial_band": 2, "grid": 16}
+        rc, out = _run(tmp_path, "pestov", cfg)
+        assert rc == cli.EXIT_OK
+        rows = (out / "pestov_residuals.csv").read_text().split()[1:]
+        assert [r.split(",")[1] for r in rows] == ["32", "64"]
+
+    def test_invariant_torus_grid_below_nx(self, tmp_path):
+        # the README torus (nx 64) with the default grid, 48
+        torus = {"type": "conformal_torus", "nx": 64, "ny": 64,
+                 "lambda": "0.1*cos(x)*sin(y)"}
+        rc, out = _run(tmp_path, "invariant", {"surface": torus, "n_modes": 3})
+        assert rc in (cli.EXIT_OK, cli.EXIT_SOLVER)
+        assert (out / "invariant_report.json").exists()
 
     @pytest.mark.parametrize("bad", [
         {"n_fields": 0}, {"n_modes": -1}, {"spatial_band": -1}, {"grid": 0},

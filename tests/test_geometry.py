@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from anosovlab.geometry import (ConformalTorus, ConstantCurvature,
                                 FuchsianOctagon, mobius, mobius_deriv,
-                                disk_distance, disk_distance0,
+                                disk_distance, disk_distance0, resample,
                                 surface_from_json)
 
 TWO_PI = 2.0 * np.pi
@@ -68,6 +68,28 @@ class TestConformalTorus:
         fine = curved_torus.resample(128)
         assert fine.shape == (128, 128)
         assert np.allclose(fine[::2, ::2], curved_torus.lam_grid, atol=1e-12)
+
+    def test_resample_stack_matches_per_grid(self):
+        rng = np.random.default_rng(2)
+        stack = rng.normal(size=(3, 12, 20)) + 1j * rng.normal(size=(3, 12, 20))
+        for shape in [(24, 40), (17, 25), (12, 20)]:
+            got = resample(stack, shape)
+            assert got.shape == (3,) + shape
+            for g, f in zip(got, stack):
+                assert np.array_equal(g, resample(f, shape))
+        real = resample(stack.real, (24, 40))
+        assert np.isrealobj(real)
+        assert np.allclose(real[:, ::2, ::2], stack.real, atol=1e-12)
+        with pytest.raises(ValueError, match="only upsamples"):
+            resample(stack, (24, 16))
+
+    def test_resample_interpolates_trig_polynomials(self):
+        def f(x, y):
+            return np.exp(1j * (2 * x - 3 * y)) + np.cos(x + y)
+        grids = [np.arange(n) * (TWO_PI / n) for n in (12, 20, 17, 25)]
+        coarse = f(*np.meshgrid(grids[0], grids[1], indexing="ij"))
+        fine = f(*np.meshgrid(grids[2], grids[3], indexing="ij"))
+        assert np.allclose(resample(coarse, (17, 25)), fine, atol=1e-12)
 
     def test_wrap(self, flat_torus):
         x, y = flat_torus.wrap(TWO_PI + 0.5, -0.25)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anosovlab.geometry import ConstantCurvature
+from anosovlab.geometry import ConformalTorus, ConstantCurvature
 from anosovlab import smfourier as sf
 
 TWO_PI = 2.0 * np.pi
@@ -52,8 +52,103 @@ class TestChart:
         ch = sf.Chart.disk_patch(hyperbolic, half_width=0.5, n=16)
         assert np.allclose(ch.K, -1.0)
 
+    def test_from_torus_resamples_a_non_square_torus(self):
+        model = ConformalTorus.from_expression("0.1*cos(x)*sin(y)", TWO_PI,
+                                               TWO_PI, 16, 32)
+        assert sf.Chart.from_torus(model).lam.shape == (16, 32)
+        ch = sf.Chart.from_torus(model, 32)
+        assert ch.lam.shape == (32, 32)
+        assert np.allclose(ch.lam[::2], model.lam_grid, atol=1e-12)
+        with pytest.raises(ValueError, match="only upsamples"):
+            sf.Chart.from_torus(model, 16)     # would drop y frequencies
+
+
+def _random_real_loop(chart, n_modes, spatial_band, rng):
+    """SMField.random_real as a sum of sampled plane waves, mode by mode,
+    kept here as an oracle."""
+    xs = np.arange(chart.nx) * (chart.Lx / chart.nx)
+    ys = np.arange(chart.ny) * (chart.Ly / chart.ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    modes = {}
+    for k in range(n_modes + 1):
+        h = np.zeros_like(X, dtype=complex)
+        for m in range(-spatial_band, spatial_band + 1):
+            for n in range(-spatial_band, spatial_band + 1):
+                c = rng.normal() + 1j * rng.normal()
+                h += c * np.exp(1j * (m * TWO_PI * X / chart.Lx +
+                                      n * TWO_PI * Y / chart.Ly))
+        modes[-k] = np.conj(h)
+        modes[k] = h if k else h + np.conj(h)
+    return modes
+
+
+class TestSMFieldLayout:
+    def test_dict_constructor_fills_the_band(self, chart):
+        g = np.ones((chart.nx, chart.ny))
+        u = sf.SMField(chart, {-2: g, 1: 2 * g}, n_modes=1)
+        assert u.n_modes == 2 and u.data.shape == (5, chart.nx, chart.ny)
+        assert np.array_equal(u.data[0], g) and np.array_equal(u.data[3], 2 * g)
+        assert sorted(u.modes) == [-2, -1, 0, 1, 2]
+        assert not np.any(u.get(0)) and not np.any(u.get(7))
+        u.modes[0] = g                 # a fresh dict: the field is unchanged
+        assert not np.any(u.get(0))
+        with pytest.raises(ValueError):
+            sf.SMField.from_array(chart, np.zeros((4, chart.nx, chart.ny)))
+
+    # 5 x 7 is below 2 * 4 + 1 points a side: the plane waves alias
+    @pytest.mark.parametrize("shape", [(64, 64), (5, 7), (12, 20)])
+    def test_random_real_matches_plane_wave_sum(self, shape):
+        ch = sf.Chart(np.zeros(shape), TWO_PI, 3.0)
+        u = sf.SMField.random_real(ch, n_modes=3, spatial_band=4,
+                                   rng=np.random.default_rng(5))
+        expect = _random_real_loop(ch, 3, 4, np.random.default_rng(5))
+        assert u.n_modes == 3 and sorted(expect) == sorted(u.modes)
+        scale = np.abs(u.data).max()
+        for k, h in expect.items():
+            assert np.max(np.abs(u.get(k) - h)) <= 1e-13 * scale
+
+
+def _apply_frame_loop(op, u):
+    """X or X_perp mode by mode through the public eta, kept as an oracle."""
+    ch, N = u.chart, u.n_modes + 1
+    out = {}
+    for k in range(-N, N + 1):
+        up = sf.eta("+", k - 1, u.get(k - 1), ch)
+        dn = sf.eta("-", k + 1, u.get(k + 1), ch)
+        out[k] = up + dn if op == "X" else -1j * (up - dn)
+    return out
+
 
 class TestFrameOperators:
+    @pytest.mark.parametrize("op", ["X", "Xperp"])
+    def test_stacked_frame_matches_eta_loop(self, field, op):
+        got = sf.apply_frame(op, field)
+        expect = _apply_frame_loop(op, field)
+        assert got.n_modes == field.n_modes + 1
+        for k, g in expect.items():
+            assert np.array_equal(got.get(k), g)
+
+    def test_eta_is_the_wirtinger_formula(self, chart, field):
+        kx = TWO_PI * np.fft.fftfreq(chart.nx, d=chart.Lx / chart.nx)
+        ky = TWO_PI * np.fft.fftfreq(chart.ny, d=chart.Ly / chart.ny)
+        KX, KY = np.meshgrid(kx, ky, indexing="ij")
+        h = field.get(2)
+        F = np.fft.fft2(h)
+        dz = np.fft.ifft2(0.5j * (KX - 1j * KY) * F)
+        dbar = np.fft.ifft2(0.5j * (KX + 1j * KY) * F)
+        plus = chart.emlam * (dz - 2 * chart.dz_lam * h)
+        minus = chart.emlam * (dbar + 2 * chart.dbar_lam * h)
+        scale = np.abs(plus).max() + np.abs(minus).max()
+        assert np.max(np.abs(sf.eta("+", 2, h, chart) - plus)) <= 1e-12 * scale
+        assert np.max(np.abs(sf.eta("-", 2, h, chart) - minus)) <= 1e-12 * scale
+        with pytest.raises(ValueError):
+            sf.eta("x", 2, h, chart)
+
+    def test_h1_norm_matches_frame_norms(self, field):
+        expect = sum(sf.norm2(sf.apply_frame(op, field))
+                     for op in ("X", "Xperp", "V")) + sf.norm2(field)
+        assert abs(sf.h1_norm2(field) - expect) <= 1e-13 * expect
+
     def test_vertical_derivative_eigenrelation(self, field):
         Vu = sf.apply_frame("V", field)
         for k in field.modes:
@@ -127,7 +222,38 @@ class TestPestov:
         assert sf.pestov_residual(u) < 1e-5
 
 
+def _alpha_loop(ch, n_modes, spatial_band, window=None):
+    """The alpha estimate with one inner product per basis pair, kept here as
+    an oracle."""
+    xs = np.arange(ch.nx) * (ch.Lx / ch.nx)
+    ys = np.arange(ch.ny) * (ch.Ly / ch.ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    basis = []
+    for k in range(-n_modes, n_modes + 1):
+        for m in range(-spatial_band, spatial_band + 1):
+            for n in range(-spatial_band, spatial_band + 1):
+                h = np.exp(1j * (m * TWO_PI * X / ch.Lx + n * TWO_PI * Y / ch.Ly))
+                basis.append((k, h if window is None else h * window))
+    Xb = [sf.apply_frame("X", sf.SMField(ch, {k: h})) for k, h in basis]
+    d = len(basis)
+    A = np.zeros((d, d), dtype=complex)
+    B = np.zeros((d, d), dtype=complex)
+    for i, (ki, hi) in enumerate(basis):
+        for j, (kj, hj) in enumerate(basis):
+            B[i, j] = sf.inner(Xb[i], Xb[j])
+            A[i, j] = B[i, j] - (ch.inner(ch.K * hi, hj) if ki == kj else 0.0)
+    return sf._deflate_gep(A, B)
+
+
 class TestAlphaEstimates:
+    def test_gep_matches_pairwise_assembly(self, chart, octagon):
+        a = sf._alpha_gep_on_chart(chart, 1, 1)
+        assert abs(a - _alpha_loop(chart, 1, 1)) <= 1e-12 * abs(a)
+        ch = sf.Chart.disk_patch(octagon, half_width=0.55, n=32)
+        win = sf._patch_window(ch)
+        a = sf._alpha_gep_on_chart(ch, 2, 1, window=win)
+        assert abs(a - _alpha_loop(ch, 2, 1, window=win)) <= 1e-12 * abs(a)
+
     def test_flat_torus_alpha_is_one(self, flat_torus):
         a = sf.alpha_lower_bound(flat_torus, n_modes=2, spatial_band=2)
         assert abs(a - 1.0) <= 1e-9
@@ -291,6 +417,15 @@ class TestInvariantExtension:
         f = sf.SMField(chart, {0: np.zeros((chart.nx, chart.ny))})
         with pytest.raises(ValueError):
             sf.invariant_extension(f, "w7")
+
+    def test_ladder_residual_matches_eta_loop(self, field):
+        ch, N = field.chart, field.n_modes
+        lad = sf.ladder_residual(field)
+        assert sorted(lad) == list(range(-N + 1, N))
+        for k, v in lad.items():
+            r = sf.eta("+", k - 1, field.get(k - 1), ch) \
+                + sf.eta("-", k + 1, field.get(k + 1), ch)
+            assert v["residual"] == np.sqrt(ch.norm2(r))
 
     def test_ladder_residual_flags_truncation(self, chart):
         rng = np.random.default_rng(15)
