@@ -25,6 +25,11 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 
 
+# relative Pestov residuals at or below this are rounding, not discretisation
+# error, so they give no refinement ratio
+PESTOV_RESIDUAL_FLOOR = 1e-12
+
+
 class ConfigError(ValueError):
     pass
 
@@ -33,7 +38,22 @@ def _is_number(val):
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _load_config(path):
+# the keys each command reads; any other key is a config error
+_COCYCLE_KEYS = frozenset({"surface", "beta_max", "tol", "T_max", "dt"})
+CONFIG_KEYS = {
+    "pestov": frozenset({"surface", "n_fields", "n_modes", "spatial_band",
+                         "grid"}),
+    "terminator": _COCYCLE_KEYS,
+    "anosov": _COCYCLE_KEYS,
+    "xray": frozenset({"surface", "m", "max_word_len", "pool_size",
+                       "n_basis", "kernel_threshold", "n_samples"}),
+    "invariant": frozenset({"surface", "variant", "n_modes", "grid",
+                            "spatial_band", "reg", "tol"}),
+    "gulliver": frozenset({"beta_target", "beta_max", "tol", "T_max"}),
+}
+
+
+def _load_config(path, command):
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -41,6 +61,10 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS[command])
+    if unknown:
+        raise ConfigError(f"unknown {command} key(s) {unknown}; expected "
+                          f"some of {sorted(CONFIG_KEYS[command])}")
     tols = [(key, False) for key in cfg if key.endswith("tol")]
     for key, zero_ok in tols + [("beta_max", False), ("T_max", False),
                                 ("dt", False), ("kernel_threshold", False),
@@ -156,12 +180,14 @@ def cmd_pestov(cfg, out, seed):
     out.csv("pestov_residuals.csv", ["field", "grid", "residual"], rows)
     coarse = [r[2] for r in rows if r[1] == charts[0].nx]
     fine = [r[2] for r in rows if r[1] == charts[1].nx]
-    ratios = [c / f if f > 0 else np.inf for c, f in zip(coarse, fine)]
-    min_ratio = min(ratios)
+    # only fields whose coarse residual is above the rounding floor have a
+    # refinement ratio; null when there is none
+    ratios = [c / f if f > 0 else np.inf for c, f in zip(coarse, fine)
+              if c > PESTOV_RESIDUAL_FLOOR]
+    min_ratio = min(ratios, default=np.inf)
     out.json("pestov_report.json", {
         "surface": cfg["surface"], "n_fields": n_fields,
         "max_residual_coarse": max(coarse), "max_residual_fine": max(fine),
-        # null when the coarse residual already sits at the floor
         "min_refinement_ratio": (min_ratio if np.isfinite(min_ratio)
                                  else None)})
     return EXIT_OK
@@ -318,7 +344,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         out = _Out(args.out, cfg)
         out.stamp["seed"] = args.seed
         return COMMANDS[args.command](cfg, out, args.seed)

@@ -442,13 +442,10 @@ def _profile_pool(model, seed=0, n_windows=4, T_window=40.0):
                 pool.append(curvature_profile_along(model, geo))
         return pool
     if isinstance(model, ConformalTorus):
-        pool = []
-        for hom in ((1, 0), (0, 1), (1, 1)):
-            try:
-                geo = _flow.find_closed_geodesics(model, hom, tol=1e-9)
-                pool.append(curvature_profile_along(model, geo))
-            except RuntimeError:
-                pass
+        geos = _flow.find_closed_geodesics(model, ((1, 0), (0, 1), (1, 1)),
+                                           tol=1e-9)
+        pool = [curvature_profile_along(model, geo) for geo in geos
+                if geo is not None]
         rng = np.random.default_rng(seed)
         starts = np.array([[rng.uniform(0, model.Lx),
                             rng.uniform(0, model.Ly),

@@ -156,20 +156,33 @@ def rk4_orbit(model, states, T, dt, record=True):
     return ts[-1], states
 
 
-def _rk4_ends(model, states, T, dt):
+def _rk4_ends(model, states, T, dt, record=False):
     """End states of (n, 3) SM states, state i flowed over its own horizon
-    T[i]: n_i = max(1, round(T[i]/dt)) steps of h_i = T[i]/n_i, the same
-    steps as ``rk4_orbit(model, states[i], T[i], dt, record=False)``.  All
-    rows step together up to max n_i; row i is read off after step n_i."""
+    T[i] at its own step dt[i] (``dt`` a scalar or one per row): n_i =
+    max(1, round(T[i]/dt[i])) steps of h_i = T[i]/n_i, the same steps as
+    ``rk4_orbit(model, states[i], T[i], dt[i], record=False)``.  All rows
+    step together up to max n_i; row i is read off after step n_i.
+
+    With ``record``, returns instead one trajectory per row, row i's of
+    shape (n_i + 1, 3) and equal to ``rk4_orbit(model, states[i], T[i],
+    dt[i])[1]``."""
     states = np.array(states, dtype=float)
     T = np.asarray(T, dtype=float)
-    n = np.array([max(1, int(round(t / dt))) for t in T])
+    dt = np.broadcast_to(np.asarray(dt, dtype=float), T.shape)
+    n = np.array([max(1, int(round(t / d))) for t, d in zip(T, dt)])
     h = (T / n)[:, None]
+    if record:
+        traj = np.empty((n.max() + 1,) + states.shape)
+        traj[0] = states
     ends = np.empty_like(states)
     for i in range(1, n.max() + 1):
         states = _rk4_step(model, states, h)
+        if record:
+            traj[i] = states
         done = n == i
         ends[done] = states[done]
+    if record:
+        return [traj[:k + 1, j] for j, k in enumerate(n)]
     return ends
 
 
@@ -190,47 +203,42 @@ def integrate_geodesic(model, start, T, dt=1e-3):
     return GeodesicOrbit(model, ts, traj, ts[1] - ts[0] if len(ts) > 1 else dt)
 
 
-def find_closed_geodesics(model, homotopy, tol=1e-10, dt=None, max_iter=60):
-    """Closed geodesic of a torus homotopy class (p, q), by shooting plus a
-    damped Newton iteration on the return map.  The start is anchored on the
-    line x = 0 (y0 free) to remove the translation degeneracy along the
-    geodesic."""
-    p, q = homotopy
-    if (p, q) == (0, 0):
-        raise ValueError("homotopy class must be nontrivial")
-    if not isinstance(model, ConformalTorus):
-        raise TypeError("closed-geodesic shooting is for conformal tori")
-    dx, dy = p * model.Lx, q * model.Ly
-    T0 = float(np.hypot(dx, dy))
-    u = np.array([0.0, np.arctan2(dy, dx), T0])  # (y0, theta0, T)
-    if dt is None:
-        dt = T0 / max(400, int(T0 / 5e-3))
+_FD_EPS = 1e-7   # relative forward-difference step of the shooting Jacobian
 
-    eps = 1e-7
 
-    def shots(u):
-        """Residual of the return map at u and its forward-difference
-        Jacobian, from one 4-state shot: u and u + du_j for j = 0, 1, 2."""
-        du = eps * np.maximum(1.0, np.abs(u))
-        us = np.vstack([u, u + np.diag(du)])
-        y0, th0, T = us.T
-        ends = _rk4_ends(model, np.column_stack([np.zeros(4), y0, th0]), T, dt)
-        dth = ends[:, 2] - th0
-        rs = np.column_stack([ends[:, 0] - dx, ends[:, 1] - (y0 + dy),
-                              np.arctan2(np.sin(dth), np.cos(dth))])
-        return rs[0], (rs[1:] - rs[0]).T / du
+def _shot_points(u):
+    """The 4 points of one shot at u = (y0, theta0, T): u itself and
+    u + du_j for j = 0, 1, 2, with the steps du."""
+    du = _FD_EPS * np.maximum(1.0, np.abs(u))
+    return np.vstack([u, u + np.diag(du)]), du
 
-    r, J = shots(u)
+
+def _return_map(ends, us, du, dx, dy):
+    """Residual of the return map at us[0] and its forward-difference
+    Jacobian, from the end states of the 4 shot points ``us``."""
+    y0, th0 = us[:, 0], us[:, 1]
+    dth = ends[:, 2] - th0
+    rs = np.column_stack([ends[:, 0] - dx, ends[:, 1] - (y0 + dy),
+                          np.arctan2(np.sin(dth), np.cos(dth))])
+    return rs[0], (rs[1:] - rs[0]).T / du
+
+
+def _newton_search(u, tol, max_iter):
+    """Damped Newton iteration on the return map from u = (y0, theta0, T),
+    as a generator: it yields each point it wants shot, receives the
+    residual r and Jacobian J there, and returns the converged u (or raises
+    RuntimeError)."""
+    r, J = yield u
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
-            break
+            return u
         # least-squares step: tolerates neutral directions (e.g. translation
         # symmetries of special metrics make the Jacobian rank-deficient)
         step = np.linalg.lstsq(J, -r, rcond=1e-10)[0]
         lam = 1.0
         for _ in range(12):
             trial = u + lam * step
-            rt, Jt = shots(trial)
+            rt, Jt = yield trial
             if np.linalg.norm(rt) < np.linalg.norm(r):
                 u, r, J = trial, rt, Jt
                 break
@@ -238,16 +246,75 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, dt=None, max_iter=60):
         else:
             raise RuntimeError("closed-geodesic Newton search stalled; "
                                f"residual {np.max(np.abs(r)):.3e}")
-    else:
-        raise RuntimeError("closed-geodesic Newton search did not converge; "
-                           f"residual {np.max(np.abs(r)):.3e}")
-    y0, th0, T = u
-    n = max(256, int(round(T / dt)))
-    ts, traj = rk4_orbit(model, np.array([0.0, y0, th0]), T, T / n)
-    samples = traj[:-1].copy()
-    samples[:, 0], samples[:, 1] = model.wrap(samples[:, 0], samples[:, 1])
-    return ClosedGeodesic(model=model, period=float(T), samples=samples,
-                          dt=T / n, source="torus-shooting")
+    raise RuntimeError("closed-geodesic Newton search did not converge; "
+                       f"residual {np.max(np.abs(r)):.3e}")
+
+
+def find_closed_geodesics(model, homotopy, tol=1e-10, dt=None, max_iter=60):
+    """Closed geodesics of torus homotopy classes (p, q), by shooting plus a
+    damped Newton iteration on the return map.  The start is anchored on the
+    line x = 0 (y0 free) to remove the translation degeneracy along the
+    geodesic; each class steps at its own dt = T0 / max(400, int(T0/5e-3))
+    unless ``dt`` is given, with T0 the flat length of the class.
+
+    ``homotopy`` is one class (p, q), giving one ClosedGeodesic (a failed
+    search raises RuntimeError), or a sequence of classes, giving a list
+    with one entry per class: its ClosedGeodesic, or None where the search
+    failed.  The searches run in lockstep: each Newton round shoots the
+    4 points of every live class in one ``_rk4_ends`` call, and a class
+    leaves the batch once it converges or fails.  Each class makes the same
+    iterates as a search on its own.  The converged orbits are then
+    recorded in one batched pass."""
+    single = np.ndim(homotopy) == 1
+    classes = [tuple(homotopy)] if single else [tuple(h) for h in homotopy]
+    if (0, 0) in classes:
+        raise ValueError("homotopy class must be nontrivial")
+    if not isinstance(model, ConformalTorus):
+        raise TypeError("closed-geodesic shooting is for conformal tori")
+    shifts = [(p * model.Lx, q * model.Ly) for p, q in classes]
+    T0 = [float(np.hypot(dx, dy)) for dx, dy in shifts]
+    dts = [T / max(400, int(T / 5e-3)) if dt is None else dt for T in T0]
+
+    def starts(us):   # SM starts on the line x = 0 of rows (y0, theta0, T)
+        return np.column_stack([np.zeros(len(us)), us[:, 0], us[:, 1]])
+
+    searches = [_newton_search(np.array([0.0, np.arctan2(dy, dx), T]), tol,
+                               max_iter) for (dx, dy), T in zip(shifts, T0)]
+    points = {i: next(search) for i, search in enumerate(searches)}
+    found = {}
+    while points:
+        live = list(points)
+        shots = [_shot_points(points[i]) for i in live]
+        us = np.vstack([u4 for u4, _ in shots])
+        ends = _rk4_ends(model, starts(us), us[:, 2],
+                         np.repeat([dts[i] for i in live], 4))
+        for k, (i, (u4, du)) in enumerate(zip(live, shots)):
+            rJ = _return_map(ends[4 * k:4 * k + 4], u4, du, *shifts[i])
+            try:
+                points[i] = searches[i].send(rJ)
+            except StopIteration as stop:
+                found[i] = stop.value
+                del points[i]
+            except RuntimeError:
+                if single:
+                    raise
+                del points[i]
+
+    geos = [None] * len(classes)
+    if found:
+        done = sorted(found)
+        us = np.array([found[i] for i in done])
+        T = us[:, 2]
+        h = T / [max(256, int(round(t / dts[i]))) for i, t in zip(done, T)]
+        trajs = _rk4_ends(model, starts(us), T, h, record=True)
+        for i, traj, t, hi in zip(done, trajs, T, h):
+            samples = traj[:-1].copy()
+            samples[:, 0], samples[:, 1] = model.wrap(samples[:, 0],
+                                                      samples[:, 1])
+            geos[i] = ClosedGeodesic(model=model, period=float(t),
+                                     samples=samples, dt=float(hi),
+                                     source="torus-shooting")
+    return geos[0] if single else geos
 
 
 # ----------------------------------------------------------------------------

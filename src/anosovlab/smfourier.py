@@ -348,7 +348,8 @@ def alpha_lower_bound(model, n_modes=3, spatial_band=2, n_grid=48):
             return 1.0
         raise ValueError("positively curved constant models are not "
                          "alpha-controlled for any alpha > 0 on large spaces")
-    ch = Chart.from_torus(model, n_grid)
+    # the chart side covers nx and ny: the spectral resample only upsamples
+    ch = Chart.from_torus(model, max(n_grid, model.nx, model.ny))
     return _alpha_gep_on_chart(ch, n_modes, spatial_band)
 
 

@@ -121,6 +121,21 @@ class TestConfigHandling:
             assert rc == cli.EXIT_CONFIG
             assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("pestov", {"surface": OCTAGON}), ("terminator", {"surface": SPHERE}),
+        ("anosov", {"surface": SPHERE}), ("xray", {"surface": OCTAGON}),
+        ("invariant", {"surface": OCTAGON}),
+        ("gulliver", {"beta_target": 1.75})])
+    @pytest.mark.parametrize("extra", [{"bogus": 1}, {"Tmax": 100.0}])
+    def test_unknown_key_rejected(self, tmp_path, capsys, command, cfg,
+                                  extra):
+        start = time.perf_counter()
+        rc, out = _run(tmp_path, command, {**cfg, **extra})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert repr(next(iter(extra))) in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0    # before any work
+
     def test_workers_option_is_gone(self, tmp_path):
         path = _write(tmp_path, "cfg.json", {"surface": SPHERE})
         with pytest.raises(SystemExit):
@@ -213,6 +228,47 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
 
+    def test_pestov_torus_ratio_null_at_the_rounding_floor(self, tmp_path):
+        # on the README torus every residual is rounding (~1e-15), so no
+        # field has a refinement ratio
+        torus = {"type": "conformal_torus", "nx": 64, "ny": 64,
+                 "lambda": "0.1*cos(x)*sin(y)"}
+        cfg = {"surface": torus, "n_fields": 3}
+        for seed in (0, 1, 2):
+            rc, out = _run(tmp_path, "pestov", cfg, seed=seed, sub=str(seed))
+            assert rc == cli.EXIT_OK
+            doc = json.loads((out / "pestov_report.json").read_text())
+            assert doc["max_residual_coarse"] <= cli.PESTOV_RESIDUAL_FLOOR
+            assert doc["min_refinement_ratio"] is None
+
+    def test_pestov_octagon_ratio_over_all_fields(self, tmp_path):
+        cfg = {"surface": OCTAGON, "n_fields": 2, "n_modes": 2,
+               "spatial_band": 2, "grid": 16}
+        rc, out = _run(tmp_path, "pestov", cfg)
+        assert rc == cli.EXIT_OK
+        rows = [line.split(",") for line in
+                (out / "pestov_residuals.csv").read_text().split()[1:]]
+        coarse = [float(r[2]) for r in rows if r[1] == "16"]
+        fine = [float(r[2]) for r in rows if r[1] == "32"]
+        assert min(coarse) > cli.PESTOV_RESIDUAL_FLOOR
+        doc = json.loads((out / "pestov_report.json").read_text())
+        assert doc["min_refinement_ratio"] == \
+            min(c / f for c, f in zip(coarse, fine))
+
+    def test_pestov_ratio_skips_fields_at_the_floor(self, tmp_path,
+                                                    monkeypatch):
+        from anosovlab import smfourier as sf
+        # (coarse, fine) per field: 100, rounding, 40
+        residuals = iter([1e-8, 1e-10, 5e-16, 0.0, 4e-9, 1e-10])
+        monkeypatch.setattr(sf, "pestov_residual",
+                            lambda u: next(residuals))
+        cfg = {"surface": FLAT, "n_fields": 3, "n_modes": 1,
+               "spatial_band": 1, "grid": 16}
+        rc, out = _run(tmp_path, "pestov", cfg)
+        assert rc == cli.EXIT_OK
+        doc = json.loads((out / "pestov_report.json").read_text())
+        assert doc["min_refinement_ratio"] == 4e-9 / 1e-10
+
     def test_gulliver_window(self, tmp_path):
         rc, out = _run(tmp_path, "gulliver", {"beta_target": 1.75})
         assert rc == cli.EXIT_OK
@@ -291,6 +347,19 @@ class TestDeterminism:
         rc1, out1 = _run(tmp_path, "anosov", cfg, seed=3, sub="a")
         rc2, out2 = _run(tmp_path, "anosov", cfg, seed=3, sub="b")
         assert rc1 == rc2 == cli.EXIT_OK
+        assert (out1 / "anosov_verdict.json").read_bytes() == \
+               (out2 / "anosov_verdict.json").read_bytes()
+
+    def test_curved_torus_anosov_same_seed_same_output(self, tmp_path):
+        # reaches the closed-geodesic shooting, which the sphere does not
+        torus = {"type": "conformal_torus", "nx": 32, "ny": 32,
+                 "lambda": "0.1*cos(x)*sin(y)"}
+        cfg = {"surface": torus, "beta_max": 64.0 / 2 ** 14}
+        rc1, out1 = _run(tmp_path, "anosov", cfg, seed=3, sub="a")
+        rc2, out2 = _run(tmp_path, "anosov", cfg, seed=3, sub="b")
+        assert rc1 == rc2 == cli.EXIT_OK
+        doc = json.loads((out1 / "anosov_verdict.json").read_text())
+        assert doc["terminator"]["profiles"].count("torus-shooting:") == 3
         assert (out1 / "anosov_verdict.json").read_bytes() == \
                (out2 / "anosov_verdict.json").read_bytes()
 

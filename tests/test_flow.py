@@ -66,6 +66,22 @@ class TestIntegrator:
             _, single = rk4_orbit(model, s, t, 1e-2, record=False)
             assert np.array_equal(end, single)
 
+    @pytest.mark.parametrize("torus", ["curved_torus", "flat_torus"])
+    def test_ends_with_one_step_per_row_equal_single_runs(self, torus,
+                                                          request):
+        # each row at its own step size, as in lockstep shooting
+        model = request.getfixturevalue(torus)
+        states = np.array([[0.4, 1.1, 0.3], [2.0, 4.5, 2.9],
+                           [5.1, 0.2, 4.4]])
+        T = np.array([2.37, 2.0, 1.5])
+        dt = np.array([1e-2, 7e-3, 1.5 / 256])
+        ends = _rk4_ends(model, states, T, dt)
+        trajs = _rk4_ends(model, states, T, dt, record=True)
+        for s, t, h, end, traj in zip(states, T, dt, ends, trajs):
+            _, single = rk4_orbit(model, s, t, h)
+            assert np.array_equal(traj, single)
+            assert np.array_equal(end, single[-1])
+
     def test_octagon_generator_orbit_closes(self, octagon):
         geo = octagon.closed_geodesic_from_word([0])
         start = geo.start
@@ -116,6 +132,12 @@ def _newton_oracle(model, homotopy, tol, max_iter=60):
     raise RuntimeError("did not converge")
 
 
+@pytest.fixture(scope="module")
+def single_class_geos(curved_torus):
+    return {hom: find_closed_geodesics(curved_torus, hom, tol=1e-9)
+            for hom in [(1, 0), (0, 1), (1, 1)]}
+
+
 class TestClosedGeodesics:
     @pytest.mark.parametrize("hom", [(1, 0), (0, 1), (1, 1)])
     def test_batched_shooting_equals_single_shots(self, curved_torus, hom):
@@ -128,6 +150,45 @@ class TestClosedGeodesics:
     def test_iteration_cap_raises(self, curved_torus):
         with pytest.raises(RuntimeError, match="did not converge"):
             find_closed_geodesics(curved_torus, (1, 1), max_iter=1)
+
+    def test_lockstep_classes_equal_single_class_calls(self, curved_torus,
+                                                      single_class_geos):
+        classes = [(1, 0), (0, 1), (1, 1)]
+        geos = find_closed_geodesics(curved_torus, classes, tol=1e-9)
+        assert len(geos) == 3
+        for hom, geo in zip(classes, geos):
+            one = single_class_geos[hom]
+            assert geo.period == one.period and geo.dt == one.dt
+            assert np.array_equal(geo.samples, one.samples)
+
+    def test_failed_class_is_none_and_leaves_the_others(self, curved_torus,
+                                                        single_class_geos):
+        # at tol 1e-9, (1, 0) and (0, 1) converge within 4 Newton
+        # iterations and (1, 1) does not (with 1, none of them does)
+        classes = [(1, 0), (1, 1), (0, 1)]
+        geos = find_closed_geodesics(curved_torus, classes, tol=1e-9,
+                                     max_iter=4)
+        assert geos[1] is None
+        with pytest.raises(RuntimeError, match="did not converge"):
+            find_closed_geodesics(curved_torus, (1, 1), tol=1e-9, max_iter=4)
+        for hom, geo in zip(classes[::2], geos[::2]):
+            one = single_class_geos[hom]
+            assert geo.period == one.period
+            assert np.array_equal(geo.samples, one.samples)
+        assert find_closed_geodesics(curved_torus, classes,
+                                     max_iter=1) == [None] * 3
+
+    def test_closed_orbit_is_the_recorded_rk4_orbit(self, curved_torus,
+                                                    single_class_geos):
+        # the batched recording pass samples rk4_orbit from the oracle's
+        # converged start, wrapped into the torus box
+        y0, th0, T = _newton_oracle(curved_torus, (0, 1), tol=1e-9)
+        geo = single_class_geos[(0, 1)]
+        n = len(geo.samples)
+        _, traj = rk4_orbit(curved_torus, np.array([0.0, y0, th0]), T, T / n)
+        x, y = curved_torus.wrap(traj[:-1, 0], traj[:-1, 1])
+        assert np.array_equal(geo.samples,
+                              np.column_stack([x, y, traj[:-1, 2]]))
 
     def test_flat_torus_homotopy_classes(self, flat_torus):
         geo = find_closed_geodesics(flat_torus, (1, 0))

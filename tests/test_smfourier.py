@@ -258,6 +258,13 @@ class TestAlphaEstimates:
         a = sf.alpha_lower_bound(flat_torus, n_modes=2, spatial_band=2)
         assert abs(a - 1.0) <= 1e-9
 
+    def test_torus_chart_covers_nx_and_ny(self, curved_torus):
+        # the README torus (nx 64) at the default n_grid 48: the chart side
+        # is max(n_grid, nx, ny), so the resample never downsamples
+        ch = sf.Chart.from_torus(curved_torus, 64)
+        assert sf.alpha_lower_bound(curved_torus) == \
+            sf._alpha_gep_on_chart(ch, 3, 2)
+
     def test_constant_nonpositive_alpha(self):
         assert sf.alpha_lower_bound(ConstantCurvature(-1.0)) == 1.0
         assert sf.alpha_lower_bound(ConstantCurvature(0.0)) == 1.0
