@@ -81,6 +81,18 @@ def _load_config(path, command):
     return cfg
 
 
+# the Jacobi solves keep K on a half grid of 2 T_max/dt + 1 points
+MAX_JACOBI_STEPS = 10 ** 7
+
+
+def _jacobi_horizon(T_max, dt):
+    """(T_max, dt) as floats, when T_max/dt is at most MAX_JACOBI_STEPS."""
+    if not T_max / dt <= MAX_JACOBI_STEPS:
+        raise ConfigError(f"T_max/dt asks for {T_max / dt:.3g} RK4 steps; "
+                          f"at most {MAX_JACOBI_STEPS:.0e} are allowed")
+    return float(T_max), float(dt)
+
+
 def _int_key(cfg, key, default, lo, hi=None):
     """cfg[key] (or the default) as an int in [lo, hi]; an integral float
     counts as an int."""
@@ -196,6 +208,7 @@ def cmd_pestov(cfg, out, seed):
 def cmd_terminator(cfg, out, seed):
     from . import cocycle
 
+    T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
     model = _surface(cfg)
     pool = cocycle._profile_pool(model, seed=seed)
     if not pool:
@@ -203,9 +216,7 @@ def cmd_terminator(cfg, out, seed):
         return EXIT_DATA
     cert = cocycle.terminator_bisect(
         pool, beta_max=float(cfg.get("beta_max", 64.0)),
-        tol=float(cfg.get("tol", 1e-3)),
-        T_max=float(cfg.get("T_max", 200.0)),
-        dt=float(cfg.get("dt", 1e-2)))
+        tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt)
     out.json("terminator_certificate.json", cert.to_json())
     return EXIT_OK
 
@@ -213,12 +224,11 @@ def cmd_terminator(cfg, out, seed):
 def cmd_anosov(cfg, out, seed):
     from . import cocycle
 
+    T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
     model = _surface(cfg)
     verdict = cocycle.anosov_verdict(
         model, beta_max=float(cfg.get("beta_max", 64.0)),
-        tol=float(cfg.get("tol", 1e-3)),
-        T_max=float(cfg.get("T_max", 200.0)),
-        dt=float(cfg.get("dt", 1e-2)), seed=seed)
+        tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt, seed=seed)
     out.json("anosov_verdict.json", verdict)
     return EXIT_OK
 
@@ -315,10 +325,11 @@ def cmd_gulliver(cfg, out, seed):
     except ValueError as e:
         raise ConfigError(str(e))
     profile = gulliver.synth_profile(params)
+    T_max, dt = _jacobi_horizon(
+        float(cfg.get("T_max", 3.0)) * float(profile.T), 1e-2)
     cert = cocycle.terminator_bisect(
         [profile], beta_max=float(cfg.get("beta_max", 64.0)),
-        tol=float(cfg.get("tol", 1e-3)),
-        T_max=float(cfg.get("T_max", 3.0)) * profile.T)
+        tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt)
     out.json("gulliver_params.json", params.to_json())
     out.json("terminator_certificate.json", cert.to_json())
     ts = np.arange(0.0, profile.T, profile.dt)

@@ -7,10 +7,8 @@ hyperbolicity of the cocycle, terminator-value bisection, and the Anosov
 verdict that combines the terminator bracket with the zero-curvature trapping
 surrogate.
 
-The Riccati integrator works in a hybrid variable: near poles it switches to
-the reciprocal s = 1/r (s' = 1 + beta K s^2), which turns the +/-infinity
-initial data of the Hopf construction into the regular values s = +/-1/cap
-and removes the pole stiffness entirely.
+All of it runs on one Jacobi kernel: the Riccati and Hopf solutions are read
+off it as r = y'/y, with poles at the zeros of y.
 """
 
 import numpy as np
@@ -47,7 +45,7 @@ _GROWTH = 512.0     # bound on log ||P_j||_inf inside a chunk (e^512 ~ 1e222)
 
 def _half_grid(profile, t0, t1, dt):
     """Time grid [t0, t1] with n RK4 steps and K sampled at half steps."""
-    n = max(1, int(round((t1 - t0) / dt)))
+    n = max(1, int(round(abs(t1 - t0) / dt)))
     h = (t1 - t0) / n
     t_half = t0 + np.arange(2 * n + 1) * (h / 2.0)
     return n, h, profile(t_half)
@@ -216,7 +214,7 @@ def first_conjugate_time(profile, beta, T_max=200.0, dt=1e-2):
 
 
 # ----------------------------------------------------------------------------
-# Riccati integration (hybrid variable)
+# Riccati integration
 
 
 @dataclass
@@ -228,72 +226,43 @@ class HopfPair:
     gap_min: float
 
 
-def _riccati_rhs(u, K, beta, smode):
-    if smode:
-        return 1.0 + beta * K * u * u
-    return -u * u - beta * K
-
-
 def riccati_integrate(profile, beta, t0, t1, r0, dt=1e-2, record_window=None,
                       raise_on_pole=True):
     """Integrate r' + r^2 + beta K = 0 from r(t0) = r0 (t1 may be < t0).
 
-    Uses the reciprocal variable near poles, so arbitrarily large |r0| (the
-    capped Hopf data) is fine.  A pole crossed inside the window corresponds
-    to a zero of the underlying Jacobi solution; with ``raise_on_pole`` this
+    r = y'/y for the Jacobi solution with (y, y')(t0) = (1, r0), so any
+    finite r0 (the capped Hopf data too) is fine.  A pole crossed inside the
+    window is a zero of y, located by sign change and a cubic-Hermite root
+    as in ``jacobi_first_zero_batch``; with ``raise_on_pole`` the first one
     raises ConjugatePointError, otherwise poles are recorded and integration
     continues through them.
 
-    Returns (ts, rs, poles) where rs sample r on the grid (+/-inf-adjacent
-    values appear as large finite numbers) restricted to ``record_window``
-    (a (lo, hi) t-interval) when given.
+    Returns (ts, rs, poles) where rs sample r on the grid (a node where y is
+    exactly 0 reads +/-1e300, signed as the value just past the pole)
+    restricted to ``record_window`` (a (lo, hi) t-interval) when given.
     """
-    n = max(1, int(round(abs(t1 - t0) / dt)))
-    h = (t1 - t0) / n
-    Kh = profile(t0 + np.arange(2 * n + 1) * (h / 2.0))
-    maxK = float(np.max(np.abs(Kh))) if len(Kh) else 1.0
-    r_switch = 10.0 * max(1.0, np.sqrt(beta * maxK + 1.0))
-    smode = abs(r0) >= r_switch
-    u = (1.0 / r0) if smode else float(r0)
+    n, h, Kh = _half_grid(profile, t0, t1, dt)
     ts = t0 + np.arange(n + 1) * h
     rs = np.empty(n + 1)
-    rs[0] = r0
     poles = []
-    for i in range(n):
-        K0, K1, K2 = Kh[2 * i], Kh[2 * i + 1], Kh[2 * i + 2]
-        k1 = _riccati_rhs(u, K0, beta, smode)
-        k2 = _riccati_rhs(u + 0.5 * h * k1, K1, beta, smode)
-        k3 = _riccati_rhs(u + 0.5 * h * k2, K1, beta, smode)
-        k4 = _riccati_rhs(u + h * k3, K2, beta, smode)
-        unew = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if smode:
-            if u * unew < 0.0:
-                tpole = ts[i] + h * (u / (u - unew))
-                if raise_on_pole:
-                    raise ConjugatePointError(tpole)
-                poles.append(tpole)
-            if abs(unew) >= 1.5 / r_switch:
-                u, smode = 1.0 / unew, False
+    for i0, Y, V, _ in _jacobi_chunks(Kh[None, :], [beta], h, [1.0],
+                                      [float(r0)]):
+        y, v = Y[0], V[0]
+        zero = y == 0.0
+        # r = V/Y: the chunk scale 2**-E cancels
+        rs[i0:i0 + len(y)] = np.where(
+            zero, np.copysign(1e300, h), v / np.where(zero, 1.0, y))
+        # signs, not y * y1 < 0: the product of two tiny values underflows
+        hit = zero[1:] | (np.sign(y[:-1]) * np.sign(y[1:]) < 0.0)
+        for j in np.flatnonzero(hit):
+            if zero[j + 1]:
+                tpole = ts[i0 + j + 1]
             else:
-                u = unew
-        else:
-            if not np.isfinite(unew) or abs(unew) >= r_switch:
-                # re-take the step in the reciprocal variable
-                u, smode = 1.0 / u, True
-                k1 = _riccati_rhs(u, K0, beta, smode)
-                k2 = _riccati_rhs(u + 0.5 * h * k1, K1, beta, smode)
-                k3 = _riccati_rhs(u + 0.5 * h * k2, K1, beta, smode)
-                k4 = _riccati_rhs(u + h * k3, K2, beta, smode)
-                unew = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if u * unew < 0.0:
-                    tpole = ts[i] + h * (u / (u - unew))
-                    if raise_on_pole:
-                        raise ConjugatePointError(tpole)
-                    poles.append(tpole)
-                u = unew
-            else:
-                u = unew
-        rs[i + 1] = (1.0 / u) if (smode and u != 0.0) else (np.sign(h) * 1e300 if smode else u)
+                tpole = _hermite_root(ts[i0 + j], h, y[j], v[j], y[j + 1],
+                                      v[j + 1])
+            if raise_on_pole:
+                raise ConjugatePointError(tpole)
+            poles.append(tpole)
     if record_window is not None:
         lo, hi = record_window
         sel = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
@@ -304,20 +273,21 @@ def riccati_integrate(profile, beta, t0, t1, r0, dt=1e-2, record_window=None,
 def riccati_hopf(profile, beta, R=30.0, cap=1e6, dt=1e-2):
     """Hopf solutions r^+/r^- over one profile period.
 
-    r^+ integrates forward from r(-R) = +cap, r^- backward from r(T+R) = -cap
-    (so every sampled t in [0, T] sits at horizon >= R from the data); both are
-    sampled on the shared grid over [0, T].  Riccati poles inside the window
-    signal conjugate points and raise."""
+    Both solves step at h = T/max(1, round(T/dt)) on the grid {i h}, with
+    the horizon R rounded to R_used = h max(1, round(R/h)): r^+ integrates
+    forward from r(-R_used) = +cap, r^- backward from r(T+R_used) = -cap, so
+    every sampled t = i h in [0, T] sits at horizon >= R_used from the data
+    and r^+, r^- are compared at the same times.  Riccati poles inside the
+    window signal conjugate points and raise."""
     T = profile.T
-    _, rp, _ = riccati_integrate(profile, beta, -R, T, cap, dt,
-                                 record_window=(0.0, T))
-    tsb, rm, _ = riccati_integrate(profile, beta, T + R, 0.0, -cap, dt,
-                                   record_window=(0.0, T))
-    rm = rm[::-1]
-    ts = np.linspace(0.0, T, len(rp))
-    m = min(len(rp), len(rm))
-    gap = rp[:m] - rm[:m]
-    return HopfPair(ts[:m], rp[:m], rm[:m], R, float(np.min(gap)))
+    n = max(1, int(round(T / dt)))
+    h = T / n
+    R_used = h * max(1, int(round(R / h)))
+    _, rp, _ = riccati_integrate(profile, beta, -R_used, T, cap, h)
+    _, rm, _ = riccati_integrate(profile, beta, T + R_used, 0.0, -cap, h)
+    rp, rm = rp[-(n + 1):], rm[-(n + 1):][::-1]
+    return HopfPair(np.arange(n + 1) * h, rp, rm, R_used,
+                    float(np.min(rp - rm)))
 
 
 def hyperbolicity_test(profile, beta, gap_tol=1e-4, R=20.0, dt=1e-2):

@@ -229,9 +229,9 @@ def _newton_search(u, tol, max_iter):
     residual r and Jacobian J there, and returns the converged u (or raises
     RuntimeError)."""
     r, J = yield u
+    if np.max(np.abs(r)) < tol:
+        return u
     for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return u
         # least-squares step: tolerates neutral directions (e.g. translation
         # symmetries of special metrics make the Jacobian rank-deficient)
         step = np.linalg.lstsq(J, -r, rcond=1e-10)[0]
@@ -246,6 +246,8 @@ def _newton_search(u, tol, max_iter):
         else:
             raise RuntimeError("closed-geodesic Newton search stalled; "
                                f"residual {np.max(np.abs(r)):.3e}")
+        if np.max(np.abs(r)) < tol:
+            return u
     raise RuntimeError("closed-geodesic Newton search did not converge; "
                        f"residual {np.max(np.abs(r)):.3e}")
 

@@ -154,11 +154,16 @@ class ConformalTorus:
     @classmethod
     def from_expression(cls, expr, Lx, Ly, nx, ny):
         """Build from a sympy-parseable expression in x, y.  Raises
-        ValueError when lam or its gradient is not periodic on the box."""
+        ValueError when the expression has other symbols, or when lam or its
+        gradient is not periodic on the box."""
         import sympy as sp
 
         x, y = sp.symbols("x y", real=True)
         lam = sp.sympify(expr, locals={"x": x, "y": y, "pi": sp.pi})
+        other = lam.free_symbols - {x, y}
+        if other:
+            raise ValueError(f"lambda {expr!r} has symbols other than x and "
+                             f"y: {sorted(map(str, other))}")
         fn = sp.lambdify((x, y), [lam, sp.diff(lam, x), sp.diff(lam, y)],
                          "numpy")
         xs = np.arange(nx) * (Lx / nx)
@@ -412,11 +417,6 @@ class FuchsianOctagon:
         zr, _, g = self.reduce_batch(z, 0.0, max_steps)
         return zr[()], g
 
-    def reduce_tangent(self, z, theta):
-        """Reduce an SM point; theta picks up the rotation arg g'(z)."""
-        zr, theta, g = self.reduce_batch(z, theta)
-        return zr[()], theta[()], g
-
     # -- geodesics ----------------------------------------------------------
 
     def axis_of(self, M):
@@ -530,6 +530,8 @@ def surface_from_json(doc):
     {"type": "constant", "K": ..}
     {"type": "octagon"}
     """
+    if not isinstance(doc, dict):
+        raise TypeError("the surface spec must be a JSON object")
     kind = doc.get("type")
     if kind == "conformal_torus":
         lam = doc["lambda"]
@@ -539,7 +541,11 @@ def surface_from_json(doc):
             return ConformalTorus.from_expression(lam, Lx, Ly, nx, ny)
         return ConformalTorus(np.asarray(lam, dtype=float), Lx, Ly)
     if kind == "constant":
-        return ConstantCurvature(doc["K"])
+        K = doc["K"]
+        if (isinstance(K, bool) or not isinstance(K, (int, float))
+                or not abs(K) <= sys.float_info.max):
+            raise ValueError("'K' must be a finite number")
+        return ConstantCurvature(K)
     if kind == "octagon":
         return FuchsianOctagon()
     raise ValueError(f"unknown surface type: {kind!r}")

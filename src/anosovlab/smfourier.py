@@ -88,13 +88,7 @@ class Chart:
                    grads=(np.broadcast_to(lam_x, X.shape).copy(),
                           np.broadcast_to(lam_y, X.shape).copy()), K=K)
 
-    # -- spectral calculus --------------------------------------------------
-
-    def dx(self, f):
-        return np.fft.ifft2(self._ikx * np.fft.fft2(f))
-
-    def dz(self, f):
-        return np.fft.ifft2(self.eta_symbol[0, 0] * np.fft.fft2(f))
+    # -- inner products and refinement -------------------------------------
 
     def inner(self, f, g):
         return complex(np.sum(self.w * f * np.conj(g)))

@@ -1,10 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from anosovlab.geometry import (ConformalTorus, ConstantCurvature,
                                 FuchsianOctagon)
 
 TWO_PI = 2.0 * np.pi
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

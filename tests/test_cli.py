@@ -1,8 +1,11 @@
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anosovlab import cli
 
@@ -54,9 +57,10 @@ class TestConfigHandling:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["anosov", "invariant"])
-    @pytest.mark.parametrize("lam", ["x**2", "x*(x - 2*pi)"])
+    @pytest.mark.parametrize("lam", ["x**2", "x*(x - 2*pi)", "a*cos(x)"])
     def test_nonperiodic_lambda_rejected(self, tmp_path, command, lam):
-        # x*(x - 2 pi) vanishes on both x edges; its x-derivative does not
+        # x*(x - 2 pi) vanishes on both x edges; its x-derivative does not;
+        # a*cos(x) has a symbol that is neither x nor y
         surface = {"type": "conformal_torus", "nx": 16, "ny": 16,
                    "lambda": lam}
         start = time.perf_counter()
@@ -81,6 +85,16 @@ class TestConfigHandling:
         assert rc == cli.EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("terminator", {"surface": SPHERE, "T_max": 1e6}),
+        ("anosov", {"surface": SPHERE, "T_max": 1.0, "dt": 1e-8}),
+        ("gulliver", {"beta_target": 1.75, "T_max": 1e308})])
+    def test_step_count_bounded(self, tmp_path, command, cfg):
+        # more than cli.MAX_JACOBI_STEPS RK4 steps of the Jacobi solves
+        rc, out = _run(tmp_path, command, cfg)
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_surface(self, tmp_path):
         rc, _ = _run(tmp_path, "terminator", {})
         assert rc == cli.EXIT_CONFIG
@@ -88,6 +102,23 @@ class TestConfigHandling:
     def test_unknown_surface_type(self, tmp_path):
         rc, _ = _run(tmp_path, "anosov", {"surface": {"type": "mystery"}})
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("surface", ["octagon", ["octagon"], 1, True])
+    def test_surface_spec_not_an_object(self, tmp_path, surface):
+        rc, out = _run(tmp_path, "anosov", {"surface": surface})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("val", ["true", '"1"', "null", "[1]", "1e999",
+                                     "NaN"])
+    def test_constant_K_checked(self, tmp_path, val):
+        # written as raw JSON text: 1e999 parses to infinity
+        p = tmp_path / "cfg.json"
+        p.write_text(f'{{"surface": {{"type": "constant", "K": {val}}}}}')
+        out = tmp_path / "out"
+        rc = cli.main(["terminator", "--config", str(p), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
 
     def test_gulliver_needs_target(self, tmp_path):
         rc, _ = _run(tmp_path, "gulliver", {})
@@ -140,6 +171,51 @@ class TestConfigHandling:
         path = _write(tmp_path, "cfg.json", {"surface": SPHERE})
         with pytest.raises(SystemExit):
             cli.main(["terminator", "--config", path, "--workers", "2"])
+
+
+# small valid configs: every run from them takes well under a second
+TORUS8 = {"type": "conformal_torus", "nx": 8, "ny": 8,
+          "lambda": "0.1*cos(x)*sin(y)"}
+FUZZ_BASES = {
+    "pestov": {"surface": TORUS8, "n_fields": 1, "n_modes": 2,
+               "spatial_band": 1, "grid": 8},
+    "terminator": {"surface": SPHERE, "beta_max": 4.0, "tol": 0.1,
+                   "T_max": 10.0, "dt": 0.05},
+    "anosov": {"surface": {"type": "constant", "K": -1.0}, "beta_max": 4.0,
+               "tol": 0.1, "T_max": 10.0, "dt": 0.05},
+    "xray": {"surface": OCTAGON, "m": 0, "max_word_len": 2, "pool_size": 8,
+             "n_basis": 4, "kernel_threshold": 1e-6, "n_samples": 32},
+    "invariant": {"surface": TORUS8, "variant": "w0", "n_modes": 3,
+                  "grid": 8, "spatial_band": 1, "reg": 1e-12, "tol": 1e-6},
+    "gulliver": {"beta_target": 1.75, "beta_max": 4.0, "tol": 0.1,
+                 "T_max": 1.0},
+}
+JUNK = [True, False, "junk", None, [1], 0, -1, -2.5, 1e308, {"a": 1}]
+SURFACE_KEYS = ["type", "K", "nx", "ny", "Lx", "Ly", "lambda"]
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_junk_value_ends_in_a_documented_exit_code(self, command, data):
+        # one key of the base (any key the command reads, a surface key, or
+        # an unknown one) set to a junk value; run in process, a traceback
+        # is an exception out of cli.main
+        cfg = json.loads(json.dumps(FUZZ_BASES[command]))
+        keys = sorted(cli.CONFIG_KEYS[command]) + ["bogus"]
+        if "surface" in cfg:
+            keys += [f"surface.{k}" for k in SURFACE_KEYS]
+        key = data.draw(st.sampled_from(keys), label="key")
+        val = data.draw(st.sampled_from(JUNK), label="value")
+        if key.startswith("surface."):
+            cfg["surface"][key[len("surface."):]] = val
+        else:
+            cfg[key] = val
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, _ = _run(Path(tmp), command, cfg)
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA,
+                      cli.EXIT_SOLVER)
 
 
 class TestCommands:

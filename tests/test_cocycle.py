@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from anosovlab import cocycle, gulliver
 from anosovlab.flow import CurvatureProfile
@@ -172,6 +173,35 @@ class TestRiccati:
             riccati_integrate(prof, 1.0, 0.0, 5.0, 1e6, dt=1e-3,
                               raise_on_pole=True)
         assert abs(ei.value.time - np.pi) < 1e-2
+
+    def test_poles_at_the_zeros_of_y(self):
+        # r = -tan t: y = cos t vanishes at pi/2 + k pi
+        prof = CurvatureProfile.constant(1.0)
+        _, _, poles = riccati_integrate(prof, 1.0, 0.0, 10.0, 0.0,
+                                        raise_on_pole=False)
+        expect = np.pi / 2 + np.pi * np.arange(3)
+        assert len(poles) == 3
+        assert np.max(np.abs(np.array(poles) - expect)) < 1e-8
+
+    @pytest.mark.parametrize("beta", (1.0, 4.0))
+    def test_hopf_solutions_match_dop853_at_their_times(self, beta):
+        def K(t):
+            return -0.3 + 0.5 * np.sin(t) + 0.2 * np.cos(3 * t)
+
+        def reference(t0, r0, ts):     # r = y'/y of y'' = -beta K y
+            sol = solve_ivp(lambda t, u: [u[1], -beta * K(t) * u[0]],
+                            (t0, ts[-1]), [1.0, r0], method="DOP853",
+                            rtol=1e-13, atol=1e-300, t_eval=ts)
+            return sol.y[1] / sol.y[0]
+
+        prof = CurvatureProfile.from_function(K, 2 * np.pi)
+        pair = riccati_hopf(prof, beta, R=30.0)
+        T, R = prof.T, pair.R_used
+        assert np.max(np.abs(pair.r_plus
+                             - reference(-R, 1e6, pair.ts))) <= 1e-7
+        assert np.max(np.abs(pair.r_minus
+                             - reference(T + R, -1e6, pair.ts[::-1])[::-1])
+                      ) <= 1e-7
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_hopf_solutions_constant_negative(self, beta):

@@ -109,9 +109,9 @@ def _newton_oracle(model, homotopy, tol, max_iter=60):
                                     np.cos(ends[2] - th0))])
 
     r = resid(u)
+    if np.max(np.abs(r)) < tol:
+        return u
     for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return u
         J = np.empty((3, 3))
         eps = 1e-7
         for j in range(3):
@@ -129,6 +129,8 @@ def _newton_oracle(model, homotopy, tol, max_iter=60):
             lam *= 0.5
         else:
             raise RuntimeError("stalled")
+        if np.max(np.abs(r)) < tol:
+            return u
     raise RuntimeError("did not converge")
 
 
@@ -151,6 +153,15 @@ class TestClosedGeodesics:
         with pytest.raises(RuntimeError, match="did not converge"):
             find_closed_geodesics(curved_torus, (1, 1), max_iter=1)
 
+    def test_last_allowed_step_below_tol_converges(self, curved_torus):
+        # (1, 0) reaches residual 1.9e-12 on its third Newton step
+        geo = find_closed_geodesics(curved_torus, (1, 0), max_iter=3)
+        y0, th0, T = _newton_oracle(curved_torus, (1, 0), tol=1e-10,
+                                    max_iter=3)
+        assert geo.period == T
+        assert np.array_equal(geo.samples[0],
+                              [0.0, np.mod(y0, curved_torus.Ly), th0])
+
     def test_lockstep_classes_equal_single_class_calls(self, curved_torus,
                                                       single_class_geos):
         classes = [(1, 0), (0, 1), (1, 1)]
@@ -163,14 +174,14 @@ class TestClosedGeodesics:
 
     def test_failed_class_is_none_and_leaves_the_others(self, curved_torus,
                                                         single_class_geos):
-        # at tol 1e-9, (1, 0) and (0, 1) converge within 4 Newton
+        # at tol 1e-9, (1, 0) and (0, 1) converge within 3 Newton
         # iterations and (1, 1) does not (with 1, none of them does)
         classes = [(1, 0), (1, 1), (0, 1)]
         geos = find_closed_geodesics(curved_torus, classes, tol=1e-9,
-                                     max_iter=4)
+                                     max_iter=3)
         assert geos[1] is None
         with pytest.raises(RuntimeError, match="did not converge"):
-            find_closed_geodesics(curved_torus, (1, 1), tol=1e-9, max_iter=4)
+            find_closed_geodesics(curved_torus, (1, 1), tol=1e-9, max_iter=3)
         for hom, geo in zip(classes[::2], geos[::2]):
             one = single_class_geos[hom]
             assert geo.period == one.period

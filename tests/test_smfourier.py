@@ -29,13 +29,6 @@ def _commutator(op1, op2, u):
 
 
 class TestChart:
-    def test_spectral_derivative_exact_on_trig(self, chart):
-        xs = np.arange(chart.nx) * (chart.Lx / chart.nx)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        f = np.exp(1j * (2 * X - Y))
-        assert np.max(np.abs(chart.dx(f) - 2j * f)) < 1e-12
-        assert np.max(np.abs(chart.dz(f) - 0.5 * (2j - 1.0) * f)) < 1e-12
-
     def test_weight_matches_area_element(self, chart):
         cell = (chart.Lx / chart.nx) * (chart.Ly / chart.ny)
         assert np.allclose(chart.w, np.exp(2 * chart.lam) * cell * TWO_PI)
