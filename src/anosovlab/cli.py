@@ -12,12 +12,14 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .cocycle import JacobiSolveError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,6 +86,11 @@ def _load_config(path, command):
 # the Jacobi solves keep K on a half grid of 2 T_max/dt + 1 points
 MAX_JACOBI_STEPS = 10 ** 7
 
+# the most radians of the fastest Jacobi oscillation, sqrt(beta |K|) per
+# unit time, that one RK4 step h may span.  On K = 1 the first conjugate
+# time comes out 0.6% late at h sqrt(beta K) = 1, and 47% late at 2.5
+MAX_STEP_PHASE = 1.0
+
 
 def _jacobi_horizon(T_max, dt):
     """(T_max, dt) as floats, when T_max/dt is at most MAX_JACOBI_STEPS."""
@@ -91,6 +98,42 @@ def _jacobi_horizon(T_max, dt):
         raise ConfigError(f"T_max/dt asks for {T_max / dt:.3g} RK4 steps; "
                           f"at most {MAX_JACOBI_STEPS:.0e} are allowed")
     return float(T_max), float(dt)
+
+
+def _check_step_phase(model, beta_max, T_max, dt):
+    """On a surface of known constant curvature (constant, octagon), the
+    RK4 step h = T_max/round(T_max/dt) must resolve beta_max:
+    h sqrt(beta_max |K|) <= MAX_STEP_PHASE."""
+    from .geometry import ConstantCurvature, FuchsianOctagon
+    if not isinstance(model, (ConstantCurvature, FuchsianOctagon)):
+        return
+    h = T_max / max(1, round(T_max / dt))
+    phase = h * math.sqrt(beta_max) * math.sqrt(abs(model.curvature_at(
+        (0.0, 0.0))))
+    if phase > MAX_STEP_PHASE:
+        raise ConfigError(
+            f"'beta_max' {beta_max:.3g} is not resolved by the RK4 step "
+            f"{h:.3g}: h sqrt(beta_max max|K|) = {phase:.4g} exceeds "
+            f"{MAX_STEP_PHASE}")
+
+
+# size caps, checked before any work.  xray: the word enumeration holds a
+# whole level, 8*7^(L-1) words at length L; at 7 it takes ~1 s and ~45 MB,
+# and 8 would take ~7x both
+MAX_WORD_LEN = 7
+# each pool geodesic keeps n_samples (x, y, theta) samples, 96 kB at 4096:
+# 25 MB for the default pool of 256, 128 MB for all 1331 classes up to
+# length 7
+MAX_N_SAMPLES = 4096
+# xray tensor degree: the projection test keeps m + 1 mode grids of
+# 64 x 64 per dictionary tensor
+MAX_DEGREE = 8
+# pestov runs its fields one after another
+MAX_FIELDS = 1000
+# (2 n_modes + 1) grid^2, the points of one SMField mode stack (8 MB of
+# complex values); pestov's fine grid is twice its grid.  Just under the
+# cap a pestov field peaked at 170 MB and an invariant solve at 246 MB
+MAX_FIELD_POINTS = 2 ** 19
 
 
 def _int_key(cfg, key, default, lo, hi=None):
@@ -110,6 +153,14 @@ def _int_key(cfg, key, default, lo, hi=None):
 def _torus_grid(model, grid):
     """Torus chart side: at least nx and ny (the resample only upsamples)."""
     return max(grid, model.nx, model.ny)
+
+
+def _check_field_size(n_modes, grid):
+    points = (2 * n_modes + 1) * grid ** 2
+    if points > MAX_FIELD_POINTS:
+        raise ConfigError(f"{2 * n_modes + 1} modes on a {grid} x {grid} "
+                          f"grid make {points} field points; at most "
+                          f"{MAX_FIELD_POINTS} are allowed")
 
 
 def _config_hash(cfg):
@@ -160,15 +211,17 @@ def cmd_pestov(cfg, out, seed):
     from .geometry import ConformalTorus, FuchsianOctagon, ConstantCurvature
     from . import smfourier as sf
 
-    n_fields = _int_key(cfg, "n_fields", 5, 1)
+    n_fields = _int_key(cfg, "n_fields", 5, 1, MAX_FIELDS)
     n_modes = _int_key(cfg, "n_modes", 6, 0)
     band = _int_key(cfg, "spatial_band", 4, 0)
     n_grid = _int_key(cfg, "grid", 64, 2 * band + 1)
     model = _surface(cfg)
+    if isinstance(model, ConformalTorus):
+        n_grid = _torus_grid(model, n_grid)
+    _check_field_size(n_modes, 2 * n_grid)
     rng = np.random.default_rng(seed)
 
     if isinstance(model, ConformalTorus):
-        n_grid = _torus_grid(model, n_grid)
         charts = [sf.Chart.from_torus(model, n) for n in (n_grid, 2 * n_grid)]
         window = None
     elif isinstance(model, (FuchsianOctagon, ConstantCurvature)):
@@ -209,13 +262,15 @@ def cmd_terminator(cfg, out, seed):
     from . import cocycle
 
     T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
+    beta_max = float(cfg.get("beta_max", 64.0))
     model = _surface(cfg)
+    _check_step_phase(model, beta_max, T_max, dt)
     pool = cocycle._profile_pool(model, seed=seed)
     if not pool:
         print("error: empty curvature-profile pool", file=sys.stderr)
         return EXIT_DATA
     cert = cocycle.terminator_bisect(
-        pool, beta_max=float(cfg.get("beta_max", 64.0)),
+        pool, beta_max=beta_max,
         tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt)
     out.json("terminator_certificate.json", cert.to_json())
     return EXIT_OK
@@ -225,9 +280,11 @@ def cmd_anosov(cfg, out, seed):
     from . import cocycle
 
     T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
+    beta_max = float(cfg.get("beta_max", 64.0))
     model = _surface(cfg)
+    _check_step_phase(model, beta_max, T_max, dt)
     verdict = cocycle.anosov_verdict(
-        model, beta_max=float(cfg.get("beta_max", 64.0)),
+        model, beta_max=beta_max,
         tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt, seed=seed)
     out.json("anosov_verdict.json", verdict)
     return EXIT_OK
@@ -237,10 +294,10 @@ def cmd_xray(cfg, out, seed):
     from .geometry import FuchsianOctagon
     from . import xray
 
-    m = _int_key(cfg, "m", 2, 0)
-    n_samples = _int_key(cfg, "n_samples", 512, 1)
+    m = _int_key(cfg, "m", 2, 0, MAX_DEGREE)
+    n_samples = _int_key(cfg, "n_samples", 512, 1, MAX_N_SAMPLES)
     pool_size = _int_key(cfg, "pool_size", 256, 1)
-    max_word_len = _int_key(cfg, "max_word_len", 6, 1)
+    max_word_len = _int_key(cfg, "max_word_len", 6, 1, MAX_WORD_LEN)
     n_basis = _int_key(cfg, "n_basis", 16, 1, xray.basis_capacity(m))
     model = _surface(cfg)
     if not isinstance(model, FuchsianOctagon):
@@ -277,15 +334,18 @@ def cmd_invariant(cfg, out, seed):
     band = _int_key(cfg, "spatial_band", 2, 0)
     grid = _int_key(cfg, "grid", 48, 2 * band + 1)
     model = _surface(cfg)
+    if not isinstance(model, (FuchsianOctagon, ConformalTorus)):
+        raise ConfigError(f"unsupported surface {type(model).__name__}")
+    if isinstance(model, ConformalTorus):
+        grid = _torus_grid(model, grid)
+    _check_field_size(n_modes, grid)
     reg = float(cfg.get("reg", 1e-12))
     rng = np.random.default_rng(seed)
     if isinstance(model, FuchsianOctagon):
         f = sf.octagon_mode0_field(model, rng=rng, spatial_band=band, n=grid)
-    elif isinstance(model, ConformalTorus):
-        ch = sf.Chart.from_torus(model, _torus_grid(model, grid))
-        f = sf.SMField.random_real(ch, n_modes=0, spatial_band=band, rng=rng)
     else:
-        raise ConfigError(f"unsupported surface {type(model).__name__}")
+        ch = sf.Chart.from_torus(model, grid)
+        f = sf.SMField.random_real(ch, n_modes=0, spatial_band=band, rng=rng)
     w, diag = sf.invariant_extension(f, variant, n_modes=n_modes, reg=reg)
     tol = float(cfg.get("tol", 1e-6))
     rel = diag["interior_max"] / max(diag["w_norm"], 1e-300)
@@ -362,6 +422,9 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except JacobiSolveError as e:
+        print(f"error: solver failure: {e}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -27,6 +27,12 @@ class ConjugatePointError(RuntimeError):
         super().__init__(msg or f"conjugate point at t = {time:.6f}")
 
 
+class JacobiSolveError(RuntimeError):
+    """Raised when an RK4 Jacobi solve leaves the finite numbers: its step
+    matrices overflowed (beta K h^2 far too large), so the solve says
+    nothing about conjugate points."""
+
+
 # ----------------------------------------------------------------------------
 # Jacobi integration
 #
@@ -93,7 +99,8 @@ def _jacobi_chunks(K_half, betas, h, y0, v0):
 
     Yields (i0, Y, V, E): the chunk starts at step i0; Y and V are (m, L+1)
     with column 0 the state before step i0 and column j the state after step
-    i0+j-1, all scaled by 2**-E per row."""
+    i0+j-1, all scaled by 2**-E per row.  Raises JacobiSolveError when a
+    chunk ends in a non-finite state."""
     K_half = np.asarray(K_half, dtype=float)
     betas = np.asarray(betas, dtype=float)
     n = (K_half.shape[1] - 1) // 2
@@ -122,6 +129,12 @@ def _jacobi_chunks(K_half, betas, h, y0, v0):
         Y[:, 0], V[:, 0] = y, v
         Y[:, 1:] = A * y[:, None] + B * v[:, None]
         V[:, 1:] = C * y[:, None] + D * v[:, None]
+        # a non-finite entry of the prefix products reaches the last column
+        # (inf * 0 and inf - inf are NaN), so that column alone is tested
+        if not (np.isfinite(Y[:, -1]).all() and np.isfinite(V[:, -1]).all()):
+            raise JacobiSolveError(
+                f"non-finite Jacobi state after RK4 step {i + L} (step "
+                f"{h:.3g}, beta up to {np.max(betas):.3g})")
         yield i, Y, V, E
         y, v = Y[:, -1], V[:, -1]
         i += L

@@ -511,14 +511,20 @@ class FuchsianOctagon:
 # dispatch helpers
 
 
-def _positive(doc, key, default, kind):
+# the largest torus grid side a JSON spec may ask for: building the
+# surface holds ~130 B a grid point, 35 MB at 512 x 512
+MAX_TORUS_SIDE = 512
+
+
+def _positive(doc, key, default, kind, hi=sys.float_info.max):
     """doc[key] (or the default): an int >= 1 if kind is int, otherwise a
-    finite positive number."""
+    finite positive number; at most hi."""
     val = doc.get(key, default)
     if (isinstance(val, bool) or not isinstance(val, (int, kind))
-            or not 0 < val <= sys.float_info.max):
+            or not 0 < val <= hi):
+        bound = "" if hi == sys.float_info.max else f" at most {hi}"
         raise ValueError(f"{key!r} must be a finite positive "
-                         f"{'integer' if kind is int else 'number'}")
+                         f"{'integer' if kind is int else 'number'}{bound}")
     return kind(val)
 
 
@@ -536,7 +542,8 @@ def surface_from_json(doc):
     if kind == "conformal_torus":
         lam = doc["lambda"]
         Lx, Ly = (_positive(doc, key, TWO_PI, float) for key in ("Lx", "Ly"))
-        nx, ny = (_positive(doc, key, 64, int) for key in ("nx", "ny"))
+        nx, ny = (_positive(doc, key, 64, int, MAX_TORUS_SIDE)
+                  for key in ("nx", "ny"))
         if isinstance(lam, str):
             return ConformalTorus.from_expression(lam, Lx, Ly, nx, ny)
         return ConformalTorus(np.asarray(lam, dtype=float), Lx, Ly)

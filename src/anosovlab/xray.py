@@ -301,30 +301,102 @@ def abs_ray_mass(f, geo, n_samples=None):
 # octagon geodesic pool
 
 
+# parents whose children are formed together: a block's products take
+# 8 * 1024 * 64 B = 512 kB
+_PARENT_BLOCK = 1024
+
+
+def _word_levels(gens, max_len):
+    """The reduced words of length 1..max_len in the octagon generators
+    gens (g_{k+4} = g_k^{-1}), one length at a time.
+
+    A level's children are its words times each generator, parent-major and
+    letter-minor, with immediate cancellations dropped, so every level is
+    in lexicographic order.  Yields (parents, letters, tr) per level: each
+    word's parent index in the level before, its last letter, and |trace|
+    of its SU(1,1) matrix.  Only the matrices of the level being extended
+    are kept, and the last level's are formed a block of parents at a time
+    and dropped."""
+    letter_ids = np.arange(8)
+    M = np.eye(2, dtype=complex)[None]      # the empty word
+    last = None
+    for length in range(1, max_len + 1):
+        keep = length < max_len
+        # each nonempty word has one cancelling letter
+        fan = 8 if last is None else 7
+        parents = np.repeat(np.arange(len(M), dtype=np.int32), fan)
+        letters = np.empty(len(parents), dtype=np.int8)
+        tr = np.empty(len(parents))
+        children = (np.empty((len(parents), 2, 2), dtype=complex) if keep
+                    else None)
+        for lo in range(0, len(M), _PARENT_BLOCK):
+            P = M[lo:lo + _PARENT_BLOCK]
+            rows = slice(lo * fan, (lo + len(P)) * fan)
+            if last is None:
+                ok = np.ones((len(P), 8), dtype=bool)
+            else:
+                ok = (last[lo:lo + len(P), None] - letter_ids) % 8 != 4
+            letters[rows] = np.nonzero(ok)[1]
+            tr_blk = np.empty((len(P), 8))
+            prods = np.empty((len(P), 8, 2, 2), dtype=complex) if keep \
+                else None
+            for g in letter_ids:
+                prod = P @ gens[g]
+                tr_blk[:, g] = np.abs(prod[:, 0, 0].real + prod[:, 1, 1].real)
+                if keep:
+                    prods[:, g] = prod
+            tr[rows] = tr_blk[ok]
+            if keep:
+                children[rows] = prods[ok]
+        yield parents, letters, tr
+        M, last = children, letters
+
+
+def _rebuild_word(levels, length, idx):
+    """The word at index idx of its level, by its back-pointers."""
+    word = []
+    for parents, letters in reversed(levels[:length]):
+        word.append(int(letters[idx]))
+        idx = parents[idx]
+    return tuple(reversed(word))
+
+
+def _word_classes(gens, max_len):
+    """Rounded |trace| -> word over the hyperbolic reduced words up to
+    max_len (see _word_levels).  A key keeps the first word that reaches
+    it: the shortest, then the lexicographically first."""
+    classes = {}            # rounded |trace| -> (length, index in level)
+    levels = []             # per length: (parent index, letter)
+    for length, (parents, letters, tr) in enumerate(
+            _word_levels(gens, max_len), start=1):
+        levels.append((parents, letters))
+        # the distinct traces of the level, each with its first word; only
+        # hyperbolic words (|tr| > 2) carry a closed geodesic
+        vals, first = np.unique(tr, return_index=True)
+        hyp = vals > 2.0 + 1e-10
+        vals, first = vals[hyp], first[hyp]
+        for i in np.argsort(first):
+            key = round(float(vals[i]), 9)
+            if key not in classes:
+                classes[key] = (length, first[i])
+    return {key: _rebuild_word(levels, length, idx)
+            for key, (length, idx) in classes.items()}
+
+
 def octagon_geodesic_pool(model, max_len=6, max_count=256, n_samples=512):
-    """Closed geodesics of all reduced words up to max_len, deduplicated by
-    trace conjugacy, shortest first."""
-    gens = model.disk_generators
-    classes = {}            # rounded |trace| -> word
+    """Closed geodesics of the max_count smallest-|trace| conjugacy classes
+    among the reduced words up to max_len, shortest geodesic first.
 
-    def dfs(word, M):
-        if word:
-            tr = abs(float(np.real(np.trace(M))))
-            if tr > 2.0 + 1e-10:
-                key = round(tr, 9)
-                if key not in classes or len(word) < len(classes[key]):
-                    classes[key] = tuple(word)
-        if len(word) == max_len:
-            return
-        for g in range(8):
-            if word and (word[-1] - g) % 8 == 4:   # immediate cancellation
-                continue
-            dfs(word + [g], M @ gens[g])
-
-    dfs([], np.eye(2, dtype=complex))
-    keys = sorted(classes)[:max_count]
+    A class is keyed by round(|tr|, 9) of its hyperbolic words (|tr| > 2)
+    and represented by its shortest word, of those the lexicographically
+    first.  The words are enumerated one length at a time, 8*7^(L-1) of
+    length L: all levels' (parent, letter) back-pointers are kept (5 B a
+    word), and the traces (8 B a word) and np.unique of one level and the
+    matrices of the level before it (64 B a word) live together, so the
+    enumeration peaks at ~7 MB at max_len 6 and ~45 MB at 7."""
+    classes = _word_classes(model.disk_generators, max_len)
     pool = []
-    for key in keys:
+    for key in sorted(classes)[:max_count]:
         geo = model.closed_geodesic_from_word(classes[key],
                                               n_samples=n_samples)
         if geo is not None:

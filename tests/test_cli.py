@@ -95,6 +95,60 @@ class TestConfigHandling:
         assert rc == cli.EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("terminator", {"surface": SPHERE, "beta_max": 1e308}),
+        ("terminator", {"surface": SPHERE, "beta_max": 1e12}),
+        ("terminator", {"surface": SPHERE, "beta_max": 1e4, "dt": 0.011}),
+        ("anosov", {"surface": OCTAGON, "beta_max": 1e12}),
+        ("anosov", {"surface": {"type": "constant", "K": -4.0},
+                    "T_max": 1.0, "dt": 2.0})])
+    def test_unresolved_beta_max_rejected(self, tmp_path, capsys, command,
+                                          cfg):
+        # h sqrt(beta_max max|K|) above cli.MAX_STEP_PHASE; at beta_max 1e12
+        # on K = 1 the RK4 solve is finite but reported a first conjugate
+        # time of 78.53 where the true one is pi 1e-6
+        start = time.perf_counter()
+        rc, out = _run(tmp_path, command, cfg)
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        assert "beta_max" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0    # before any work
+
+    def test_resolved_beta_max_accepted(self, tmp_path):
+        # h sqrt(beta_max K) = 0.01 sqrt(1e4) = 1, at the bound
+        rc, out = _run(tmp_path, "terminator",
+                       {"surface": SPHERE, "beta_max": 1e4, "T_max": 1.0})
+        assert rc == cli.EXIT_OK
+        doc = json.loads((out / "terminator_certificate.json").read_text())
+        assert not doc["exceeds_beta_max"]
+
+    def test_nonfinite_jacobi_state_is_solver_failure(self, tmp_path, capsys):
+        # the gulliver profile's curvature is not known before the run, so
+        # beta_max 1e308 reaches the Jacobi kernel, whose step matrices
+        # overflow; that must not read as "no conjugate point"
+        rc, out = _run(tmp_path, "gulliver",
+                       {"beta_target": 1.75, "beta_max": 1e308})
+        assert rc == cli.EXIT_SOLVER
+        assert "solver failure" in capsys.readouterr().err
+        assert not (out / "terminator_certificate.json").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("pestov", {"surface": OCTAGON, "n_fields": cli.MAX_FIELDS + 1}),
+        ("pestov", {"surface": OCTAGON, "n_modes": 10 ** 9}),
+        ("pestov", {"surface": OCTAGON, "grid": 10 ** 9}),
+        # 13 modes on the fine 2 * 101 grid: 530k points
+        ("pestov", {"surface": OCTAGON, "grid": 101}),
+        ("invariant", {"surface": OCTAGON, "n_modes": 10 ** 9}),
+        ("invariant", {"surface": OCTAGON, "grid": 159}),
+        ("invariant", {"surface": {**FLAT, "nx": 10 ** 9}}),
+        ("terminator", {"surface": {**FLAT, "ny": 513}})])
+    def test_size_caps(self, tmp_path, command, cfg):
+        start = time.perf_counter()
+        rc, out = _run(tmp_path, command, cfg)
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        assert time.perf_counter() - start < 5.0    # before any work
+
     def test_missing_surface(self, tmp_path):
         rc, _ = _run(tmp_path, "terminator", {})
         assert rc == cli.EXIT_CONFIG
@@ -190,7 +244,9 @@ FUZZ_BASES = {
     "gulliver": {"beta_target": 1.75, "beta_max": 4.0, "tol": 0.1,
                  "T_max": 1.0},
 }
-JUNK = [True, False, "junk", None, [1], 0, -1, -2.5, 1e308, {"a": 1}]
+# 10**9 is past every size cap (cli.MAX_WORD_LEN, cli.MAX_N_SAMPLES, ...)
+JUNK = [True, False, "junk", None, [1], 0, -1, -2.5, 1e308, 10 ** 9,
+        {"a": 1}]
 SURFACE_KEYS = ["type", "K", "nx", "ny", "Lx", "Ly", "lambda"]
 
 
@@ -406,11 +462,15 @@ class TestCommands:
     @pytest.mark.parametrize("key, val", [
         ("n_samples", 0), ("m", -1), ("pool_size", 0), ("max_word_len", 0),
         ("n_basis", 0), ("n_basis", 99), ("n_basis", 2.5), ("m", "2"),
-        ("pool_size", True)])
+        ("pool_size", True), ("max_word_len", cli.MAX_WORD_LEN + 1),
+        ("max_word_len", 10 ** 9), ("n_samples", cli.MAX_N_SAMPLES + 1),
+        ("n_samples", 10 ** 9), ("m", cli.MAX_DEGREE + 1)])
     def test_xray_bad_integer_key_rejected(self, tmp_path, key, val):
+        start = time.perf_counter()
         rc, out = _run(tmp_path, "xray", {"surface": OCTAGON, key: val})
         assert rc == cli.EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
+        assert time.perf_counter() - start < 5.0    # before any work
 
     def test_xray_requires_octagon(self, tmp_path):
         rc, _ = _run(tmp_path, "xray", {"surface": FLAT})
@@ -446,6 +506,15 @@ class TestDeterminism:
         assert rc1 == rc2
         for name in ("invariant_report.json", "invariant_modes.csv",
                      "ladder_residuals.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_xray_same_seed_same_output(self, tmp_path):
+        cfg = {"surface": OCTAGON, "max_word_len": 4, "pool_size": 32,
+               "n_basis": 8}
+        rc1, out1 = _run(tmp_path, "xray", cfg, seed=3, sub="a")
+        rc2, out2 = _run(tmp_path, "xray", cfg, seed=3, sub="b")
+        assert rc1 == rc2 == cli.EXIT_OK
+        for name in ("xray_report.json", "geodesic_pool.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_recorded(self, tmp_path):

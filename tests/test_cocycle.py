@@ -165,6 +165,17 @@ class TestJacobi:
         # unscaled across chunks: sinh(320)/8 ~ e^320/16 at t = 40
         assert abs(ys[-1] / (np.exp(320.0) / 16.0) - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("K", [1.0, -1.0])
+    def test_overflowed_steps_are_a_solver_failure(self, K):
+        # beta K h^2 = 1e304: the RK4 step matrices overflow to inf and NaN,
+        # which no sign test reads as a zero
+        prof = CurvatureProfile.constant(K)
+        with np.errstate(all="ignore"):
+            with pytest.raises(cocycle.JacobiSolveError):
+                first_conjugate_time(prof, 1e308, T_max=10.0)
+            with pytest.raises(cocycle.JacobiSolveError):
+                riccati_integrate(prof, 1e308, 0.0, 1.0, 0.0)
+
 
 class TestRiccati:
     def test_conjugate_point_raises_pole(self):

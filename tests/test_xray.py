@@ -1,9 +1,13 @@
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 import pytest
 
 from anosovlab import xray
 from anosovlab import smfourier as sf
 from anosovlab.flow import find_closed_geodesics
+from anosovlab.geometry import FuchsianOctagon
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,7 +127,74 @@ class TestSolenoidal:
             xray.solenoidal_check(f, ch)
 
 
+@lru_cache(maxsize=None)
+def _dfs_classes(max_len):
+    """The pool's word classes by a recursive depth-first search over the
+    octagon's reduced words: rounded |trace| -> word, a shorter word
+    replacing a longer one, and of equal lengths the first visited (the
+    lexicographically first) kept."""
+    gens = FuchsianOctagon().disk_generators
+    classes = {}
+
+    def dfs(word, M):
+        if word:
+            tr = abs(float(np.real(np.trace(M))))
+            if tr > 2.0 + 1e-10:
+                key = round(tr, 9)
+                if key not in classes or len(word) < len(classes[key]):
+                    classes[key] = tuple(word)
+        if len(word) == max_len:
+            return
+        for g in range(8):
+            if word and (word[-1] - g) % 8 == 4:   # immediate cancellation
+                continue
+            dfs(word + [g], M @ gens[g])
+
+    dfs([], np.eye(2, dtype=complex))
+    return classes
+
+
 class TestGeodesicPool:
+    def test_levels_are_the_reduced_words_in_order(self, octagon):
+        # every reduced word of each length once, lexicographically, with
+        # the trace of its word matrix to the bit
+        levels = []
+        for parents, letters, tr in xray._word_levels(
+                octagon.disk_generators, 4):
+            levels.append((parents, letters))
+            n = len(levels)
+            words = [xray._rebuild_word(levels, n, i)
+                     for i in range(len(letters))]
+            assert words == [w for w in product(range(8), repeat=n)
+                             if all((a - b) % 8 != 4
+                                    for a, b in zip(w, w[1:]))]
+            assert np.array_equal(tr, [abs(np.trace(octagon.word_matrix(w))
+                                           .real) for w in words])
+
+    @pytest.mark.parametrize("max_len", range(1, 7))
+    def test_word_classes_match_dfs(self, octagon, max_len):
+        classes = xray._word_classes(octagon.disk_generators, max_len)
+        oracle = _dfs_classes(max_len)
+        assert classes == oracle
+        assert all(type(k) is float for k in classes)
+        assert all(type(g) is int for w in classes.values() for g in w)
+
+    @pytest.mark.parametrize("max_len, max_count", [(4, 64), (6, 256)])
+    def test_pool_matches_dfs_pool(self, octagon, max_len, max_count):
+        classes = _dfs_classes(max_len)
+        oracle = [octagon.closed_geodesic_from_word(classes[key],
+                                                    n_samples=512)
+                  for key in sorted(classes)[:max_count]]
+        oracle = [g for g in oracle if g is not None]
+        pool = xray.octagon_geodesic_pool(octagon, max_len=max_len,
+                                          max_count=max_count, n_samples=512)
+        # 35 classes up to length 4, 429 up to length 6
+        assert len(pool) == len(oracle) == min(max_count, len(classes))
+        for geo, ref in zip(pool, oracle):
+            assert geo.word == ref.word
+            assert geo.period == ref.period
+            assert np.array_equal(geo.samples, ref.samples)
+
     def test_pool_properties(self, octagon, small_pool):
         assert 0 < len(small_pool) <= 64
         # shortest class first: the single-generator axis
