@@ -100,20 +100,26 @@ def _jacobi_horizon(T_max, dt):
     return float(T_max), float(dt)
 
 
-def _check_step_phase(model, beta_max, T_max, dt):
-    """On a surface of known constant curvature (constant, octagon), the
-    RK4 step h = T_max/round(T_max/dt) must resolve beta_max:
-    h sqrt(beta_max |K|) <= MAX_STEP_PHASE."""
-    from .geometry import ConstantCurvature, FuchsianOctagon
-    if not isinstance(model, (ConstantCurvature, FuchsianOctagon)):
-        return
+def _max_abs_curvature(model):
+    """max|K| of a surface, known once it is built, and what it is read
+    from: the constant K of a constant or octagon surface, the spectral
+    curvature grid of a torus."""
+    from .geometry import ConformalTorus
+    if isinstance(model, ConformalTorus):
+        return float(np.max(np.abs(model.K_grid))), "max|K_grid|"
+    return abs(model.curvature_at((0.0, 0.0))), "|K|"
+
+
+def _check_step_phase(max_abs_K, which, beta_max, T_max, dt):
+    """The RK4 step h = T_max/round(T_max/dt) must resolve beta_max on
+    curvature up to max_abs_K (read from ``which``):
+    h sqrt(beta_max max_abs_K) <= MAX_STEP_PHASE."""
     h = T_max / max(1, round(T_max / dt))
-    phase = h * math.sqrt(beta_max) * math.sqrt(abs(model.curvature_at(
-        (0.0, 0.0))))
+    phase = h * math.sqrt(beta_max) * math.sqrt(max_abs_K)
     if phase > MAX_STEP_PHASE:
         raise ConfigError(
             f"'beta_max' {beta_max:.3g} is not resolved by the RK4 step "
-            f"{h:.3g}: h sqrt(beta_max max|K|) = {phase:.4g} exceeds "
+            f"{h:.3g}: h sqrt(beta_max {which}) = {phase:.4g} exceeds "
             f"{MAX_STEP_PHASE}")
 
 
@@ -264,7 +270,7 @@ def cmd_terminator(cfg, out, seed):
     T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
     beta_max = float(cfg.get("beta_max", 64.0))
     model = _surface(cfg)
-    _check_step_phase(model, beta_max, T_max, dt)
+    _check_step_phase(*_max_abs_curvature(model), beta_max, T_max, dt)
     pool = cocycle._profile_pool(model, seed=seed)
     if not pool:
         print("error: empty curvature-profile pool", file=sys.stderr)
@@ -282,7 +288,7 @@ def cmd_anosov(cfg, out, seed):
     T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
     beta_max = float(cfg.get("beta_max", 64.0))
     model = _surface(cfg)
-    _check_step_phase(model, beta_max, T_max, dt)
+    _check_step_phase(*_max_abs_curvature(model), beta_max, T_max, dt)
     verdict = cocycle.anosov_verdict(
         model, beta_max=beta_max,
         tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt, seed=seed)
@@ -365,6 +371,10 @@ def cmd_invariant(cfg, out, seed):
         "solver_residual": diag["solver_residual"],
         "solver_istop": diag["solver_istop"],
         "solver_iterations": diag["solver_iterations"]})
+    if diag["solver_istop"] == 7:
+        print(f"warning: lsqr stopped at its iteration cap: solver_istop 7, "
+              f"solver_iterations {diag['solver_iterations']}, cap "
+              f"{diag['solver_iter_lim']}", file=sys.stderr)
     if rel > tol:
         print(f"error: solver residual {rel:.3e} above tolerance {tol:.1e}",
               file=sys.stderr)
@@ -387,8 +397,11 @@ def cmd_gulliver(cfg, out, seed):
     profile = gulliver.synth_profile(params)
     T_max, dt = _jacobi_horizon(
         float(cfg.get("T_max", 3.0)) * float(profile.T), 1e-2)
+    beta_max = float(cfg.get("beta_max", 64.0))
+    _check_step_phase(float(np.max(np.abs(profile.K_samples))),
+                      "max|K_samples|", beta_max, T_max, dt)
     cert = cocycle.terminator_bisect(
-        [profile], beta_max=float(cfg.get("beta_max", 64.0)),
+        [profile], beta_max=beta_max,
         tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt)
     out.json("gulliver_params.json", params.to_json())
     out.json("terminator_certificate.json", cert.to_json())

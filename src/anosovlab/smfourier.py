@@ -188,13 +188,6 @@ def _with_zero_row(stack):
 # numpy swaps the operands of ``a * b`` when it reuses a large temporary b as
 # the output; hence np.multiply where b is a temporary.  Real factors commute.
 
-def _spectral(src, nbr, symbol):
-    """ifft2(symbol * fft2(src)[nbr]) for a (2, n) index array nbr; index
-    len(src) reads a zero row.  The two sides are transformed apart."""
-    F = _with_zero_row(np.fft.fft2(src, axes=(-2, -1)))
-    return np.fft.ifft2(np.multiply(symbol, F[nbr]), axes=(-2, -1))
-
-
 def _ladder_nbr(in_ks, out_ks):
     """(2, len(out_ks)) rows of an in_ks stack holding the neighbours k-1
     (eta_+ side) and k+1 (eta_- side) of each output k; len(in_ks) if none."""
@@ -214,8 +207,10 @@ def _eta_sides(chart, src, nbr, coef):
     """The eta_+/- kernel: the (2, n, nx, ny) stack of eta_+ (side 0) and
     eta_- (side 1) images of the rows nbr of the mode stack src, with the
     pointwise terms coef.  The sides stay apart, so callers sum them in the
-    order of a per-mode eta loop and the products round as mode by mode."""
-    d = _spectral(src, nbr, chart.eta_symbol)
+    order of a per-mode eta loop and the products round as mode by mode.
+    A row index len(src) in nbr reads a zero row."""
+    F = _with_zero_row(np.fft.fft2(src, axes=(-2, -1)))
+    d = np.fft.ifft2(np.multiply(chart.eta_symbol, F[nbr]), axes=(-2, -1))
     d += np.multiply(coef, _with_zero_row(src)[nbr])
     d *= chart.emlam
     return d
@@ -480,15 +475,23 @@ def verify_quantitative_inequality(u, m, alpha_hat, tol=1e-8):
 # transport least squares (grid path)
 
 
+# lsqr's least-squares stopping test, ||(AN)^H r|| <= atol ||AN|| ||r||
+# (Paige and Saunders 1982).  Octagon solves meet it at ~800 iterations with
+# their interior residual unchanged; at 1e-7 they stop at ~620 with a
+# residual 100x larger, above the CLI's tol
+LSQR_ATOL = 1e-8
+
+
 class _LadderOperator:
     """Exact-adjoint discretization of h -> A h in whitened coordinates.
 
     A = X V^V_power from the modes ``in_ks`` to the modes ``out_ks``, with
     the outputs |k| < ``T_floor`` projected out: P* = XV, Q* = XVT, and plain
     X with prescribed-mode holes for invariant_extension.  Fields are
-    (len(ks), nx, ny) stacks; the forward map is the eta kernel between
-    whitenings, and a missing neighbour (a hole in the band, or an output
-    below ``T_floor``) reads the zero row appended to the gathered stack.
+    (len(ks), nx, ny) stacks, flattened for ``matvec``/``rmatvec``; the
+    forward map is the eta kernel between whitenings, and a missing
+    neighbour (a hole in the band, or an output below ``T_floor``) reads the
+    zero row appended to the gathered stack.
     """
 
     def __init__(self, chart, in_ks, out_ks, V_power=1, T_floor=None):
@@ -498,7 +501,7 @@ class _LadderOperator:
         self.V_power = V_power
         self.T_floor = T_floor
         ngrid = chart.nx * chart.ny
-        self.shape = (2 * len(self.out_ks) * ngrid, 2 * len(self.in_ks) * ngrid)
+        self.shape = (len(self.out_ks) * ngrid, len(self.in_ks) * ngrid)
         ks_out = np.array(self.out_ks)
         self._fwd_nbr = _ladder_nbr(self.in_ks, self.out_ks)
         read = self.out_ks          # the outputs that read their neighbours
@@ -511,27 +514,21 @@ class _LadderOperator:
         ks_in = np.array(self.in_ks, dtype=float)[:, None, None]
         self._vmul = 1j * ks_in if V_power else None
         self._fwd_coef = _eta_coef(chart, ks_out - 1, ks_out + 1)
-        # pointwise parts of the adjoints of eta_+/-, signed so that each side
-        # is (transformed part) + coefficient * neighbour
-        self._adj_coef = np.stack(
+        # the adjoint's factors, with its whitenings (sqrt_w before the
+        # sides, 1/sqrt_w and conj(V) after them) folded in: the transformed
+        # parts are -dbar and -dz of e^{-lam} sqrt_w g, and the pointwise
+        # parts are signed so that each side is (transformed part) +
+        # coefficient * neighbour
+        self._adj_in = chart.emlam * chart.sqrt_w
+        self._adj_symbol = -chart.eta_symbol[::-1]
+        self._adj_coef = chart.sqrt_w * np.stack(
             [-(ks_in * np.conj(chart.dz_lam) * chart.emlam),
              ks_in * np.conj(chart.dbar_lam) * chart.emlam])
+        vconj = np.conj(self._vmul) if V_power else 1.0
+        self._adj_out = vconj / chart.sqrt_w
 
-    # real <-> complex packing (lsqr works on real vectors): mode i owns
-    # block i of x, its real part then its imaginary part
-    def _unpack(self, x):
-        blocks = x.reshape(-1, 2, self.ch.nx, self.ch.ny)
-        out = np.empty((len(blocks), self.ch.nx, self.ch.ny), dtype=complex)
-        out.real = blocks[:, 0]
-        out.imag = blocks[:, 1]
-        return out
-
-    @staticmethod
-    def _pack(stack):
-        out = np.empty((len(stack), 2) + stack.shape[1:])
-        out[:, 0] = stack.real
-        out[:, 1] = stack.imag
-        return out.ravel()
+    def _stack(self, x, ks):
+        return x.reshape(len(ks), self.ch.nx, self.ch.ny)
 
     def _forward(self, h):
         """A applied to the in-mode stack h (whitened in/out)."""
@@ -546,21 +543,21 @@ class _LadderOperator:
         """Exact discrete adjoint of _forward.  In unweighted l2 the adjoint
         of eta("+", k, .) is g -> -dbar(e^{-lam} g) - k conj(dz_lam) e^{-lam} g
         and that of eta("-", k, .) is g -> -dz(e^{-lam} g) + k conj(dbar_lam)
-        e^{-lam} g."""
-        ch, nbr = self.ch, self._adj_nbr
-        t = ch.sqrt_w * g
-        d = _spectral(ch.emlam * t, nbr, ch.eta_symbol[::-1])
-        adj_pm = -d + np.multiply(self._adj_coef, _with_zero_row(t)[nbr])
-        acc = adj_pm[0] + adj_pm[1]
-        if self._vmul is not None:
-            acc = np.conj(self._vmul) * acc
-        return acc / ch.sqrt_w
+        e^{-lam} g.  The two transformed parts are summed in Fourier space,
+        so one ifft2 over the in-modes serves both sides."""
+        (up, dn), (s_up, s_dn) = self._adj_nbr, self._adj_symbol
+        F = _with_zero_row(np.fft.fft2(self._adj_in * g, axes=(-2, -1)))
+        acc = np.fft.ifft2(s_up * F[up] + s_dn * F[dn], axes=(-2, -1))
+        g0 = _with_zero_row(g)
+        acc += self._adj_coef[0] * g0[up] + self._adj_coef[1] * g0[dn]
+        acc *= self._adj_out
+        return acc
 
     def matvec(self, x):
-        return self._pack(self._forward(self._unpack(x)))
+        return self._forward(self._stack(x, self.in_ks)).ravel()
 
     def rmatvec(self, x):
-        return self._pack(self._adjoint(self._unpack(x)))
+        return self._adjoint(self._stack(x, self.out_ks)).ravel()
 
     # -- flat-symbol right preconditioner -----------------------------------
     # In Fourier space the flat-metric version of A is block-diagonal over
@@ -568,16 +565,22 @@ class _LadderOperator:
     # frequency).  Preconditioning with the full-rank Hermitian
     # N(xi) = (B^H B + eps I)^{-1/2} clusters the singular values of A N;
     # eps is tied to the size of the curvature terms (which dominate A where
-    # the flat symbol degenerates, e.g. at xi = 0).  lsqr still runs to its
-    # iteration cap: on octagon data (n_modes 10, 48^2) the interior ladder
-    # residual is ~1e-3 of ||w|| after 400 iterations and ~2e-8 after 800,
-    # where it stalls, and atol = btol = 1e-14 is never met (istop 7).
+    # the flat symbol degenerates, e.g. at xi = 0).  lsqr iterates on the
+    # unitary Fourier coefficients y of the preconditioned unknown, h =
+    # ifft2(N y), so N acts on y directly and the damped norm is that of
+    # the real-space unknown.  On octagon data (n_modes 10, 48^2) the
+    # interior ladder residual falls to ~2e-8 of ||w|| in ~800 iterations,
+    # where lsqr's own test ||(AN)^H r|| <= LSQR_ATOL ||AN|| ||r|| stops it
+    # (istop 2); istop 7 means the iteration cap was reached first.
 
     def _build_precond(self):
+        """N(xi) as one (nx ny, n_in, n_in) stack, frequency-major.  It is
+        Hermitian, so it is also its own adjoint."""
         evals, evecs = self._flat_eigh()
         inv_sqrt = evecs * (evals ** -0.5)[..., None, :]
-        # Hermitian by construction, so it is also its own adjoint
-        self._M = inv_sqrt @ np.conj(np.swapaxes(evecs, -1, -2))
+        n_in = len(self.in_ks)
+        self._N = (inv_sqrt @ np.conj(np.swapaxes(evecs, -1, -2))).reshape(
+            -1, n_in, n_in)
 
     def _flat_eigh(self):
         """Eigen-decomposition of B(xi)^H B(xi) + eps I at every frequency
@@ -598,11 +601,27 @@ class _LadderOperator:
         eps = max(grad_scale ** 2, 1e-12 * max(float(np.abs(G).max()), 1.0))
         return np.linalg.eigh(G + eps * np.eye(n_in))
 
-    def _precondition(self, h):
-        """N(xi) applied frequency by frequency to the in-mode stack h."""
-        Y = np.fft.fft2(h, axes=(-2, -1))
-        return np.fft.ifft2(np.einsum("xyij,jxy->ixy", self._M, Y),
-                            axes=(-2, -1))
+    def _precondition(self, y):
+        """N(xi) frequency by frequency on the in-mode coefficients y (flat,
+        or an (n_in, nx, ny) stack)."""
+        cols = y.reshape(len(self.in_ks), -1).T[..., None]
+        return self._stack(np.matmul(self._N, cols)[..., 0].T, self.in_ks)
+
+    def _from_fourier(self, y):
+        """The real-space unknown ifft2(N y) of the Fourier-space iterate y
+        (unitary transforms, so ||y|| is the norm of the real-space y)."""
+        return np.fft.ifft2(self._precondition(y), axes=(-2, -1),
+                            norm="ortho")
+
+    def precond_matvec(self, y):
+        """A ifft2(N y): the preconditioned operator lsqr iterates on."""
+        return self.matvec(self._from_fourier(y))
+
+    def precond_rmatvec(self, x):
+        """N fft2(A^H x): the adjoint of ``precond_matvec``."""
+        g = self._stack(self.rmatvec(x), self.in_ks)
+        return self._precondition(np.fft.fft2(g, axes=(-2, -1),
+                                              norm="ortho")).ravel()
 
     def solve(self, rhs, reg=1e-10, iter_lim=400):
         """Min-norm damped least squares A h = rhs (whitened internally), for
@@ -615,17 +634,11 @@ class _LadderOperator:
         ch = self.ch
         rhs = rhs * ch.sqrt_w
         self._build_precond()
-
-        def mv(y):
-            return self.matvec(self._pack(self._precondition(self._unpack(y))))
-
-        def rmv(x):
-            return self._pack(self._precondition(self._unpack(self.rmatvec(x))))
-
-        AM = LinearOperator(self.shape, matvec=mv, rmatvec=rmv)
-        res = lsqr(AM, self._pack(rhs), damp=np.sqrt(reg), atol=1e-14,
+        AN = LinearOperator(self.shape, matvec=self.precond_matvec,
+                            rmatvec=self.precond_rmatvec, dtype=complex)
+        res = lsqr(AN, rhs.ravel(), damp=np.sqrt(reg), atol=LSQR_ATOL,
                    btol=1e-14, iter_lim=iter_lim)
-        h = self._precondition(self._unpack(res[0])) / ch.sqrt_w
+        h = self._from_fourier(res[0]) / ch.sqrt_w
         # relative residual in the weighted norm, rows summed in mode order
         r2 = sum(np.sum(np.abs(self._forward(h * ch.sqrt_w) - rhs) ** 2,
                         axis=(-2, -1)).tolist())
@@ -694,7 +707,8 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
     prescribed modes are matched exactly by construction.  Returns (w, diag)
     with the interior ladder residuals, the mode-decay slope, and lsqr's stop
     reason ``solver_istop`` and ``solver_iterations`` (None and 0 when no
-    mode is free)."""
+    mode is free) under its cap ``solver_iter_lim``: istop 2 is the normal
+    stop, 7 the cap."""
     if variant == "w0":
         f = data
         ch = f.chart
@@ -728,9 +742,9 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
     ks = np.array(out_ks)
     rhs = -np.add(*_eta_sides(ch, fixed, _ladder_nbr(fixed_ks, out_ks),
                               _eta_coef(ch, ks - 1, ks + 1)))
+    iter_lim = iter_lim or max(400, 100 * n_modes)
     if free:
-        h, resid, istop, itn = op.solve(
-            rhs, reg=reg, iter_lim=iter_lim or max(400, 100 * n_modes))
+        h, resid, istop, itn = op.solve(rhs, reg=reg, iter_lim=iter_lim)
     else:
         h = np.zeros((0, ch.nx, ch.ny), dtype=complex)
         resid = np.sqrt(float(np.sum(ch.norm2(rhs))))
@@ -749,7 +763,8 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
     diag = {"solver_residual": resid, "ladder": lad,
             "interior_max": max(interior.values()) if interior else 0.0,
             "w_norm": norm(w), "mode_decay_slope": slope,
-            "solver_istop": istop, "solver_iterations": itn}
+            "solver_istop": istop, "solver_iterations": itn,
+            "solver_iter_lim": iter_lim}
     return w, diag
 
 

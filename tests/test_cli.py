@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -12,6 +13,8 @@ from anosovlab import cli
 OCTAGON = {"type": "octagon"}
 SPHERE = {"type": "constant", "K": 1.0}
 FLAT = {"type": "conformal_torus", "nx": 16, "ny": 16, "lambda": "0"}
+CURVED = {"type": "conformal_torus", "nx": 32, "ny": 32,
+          "lambda": "0.1*cos(x)*sin(y)"}
 
 
 def _write(tmp_path, name, cfg):
@@ -101,7 +104,14 @@ class TestConfigHandling:
         ("terminator", {"surface": SPHERE, "beta_max": 1e4, "dt": 0.011}),
         ("anosov", {"surface": OCTAGON, "beta_max": 1e12}),
         ("anosov", {"surface": {"type": "constant", "K": -4.0},
-                    "T_max": 1.0, "dt": 2.0})])
+                    "T_max": 1.0, "dt": 2.0}),
+        # max|K_samples| = 1 on the cap-collar profile; at beta_max 1e12
+        # gulliver exited 0 with a first conjugate time of 2.69 where the
+        # truth is ~9e-5
+        ("gulliver", {"beta_target": 1.75, "beta_max": 1e12}),
+        # max|K_grid| ~ 0.2 on the curved torus
+        ("anosov", {"surface": CURVED, "beta_max": 1e12}),
+        ("terminator", {"surface": CURVED, "beta_max": 1e12})])
     def test_unresolved_beta_max_rejected(self, tmp_path, capsys, command,
                                           cfg):
         # h sqrt(beta_max max|K|) above cli.MAX_STEP_PHASE; at beta_max 1e12
@@ -111,7 +121,12 @@ class TestConfigHandling:
         rc, out = _run(tmp_path, command, cfg)
         assert rc == cli.EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
-        assert "beta_max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "beta_max" in err
+        # the message names the maximum it used
+        which = {"gulliver": "max|K_samples|"}.get(
+            command, "max|K_grid|" if cfg.get("surface") == CURVED else "|K|")
+        assert f"beta_max {which})" in err
         assert time.perf_counter() - start < 5.0    # before any work
 
     def test_resolved_beta_max_accepted(self, tmp_path):
@@ -122,10 +137,12 @@ class TestConfigHandling:
         doc = json.loads((out / "terminator_certificate.json").read_text())
         assert not doc["exceeds_beta_max"]
 
-    def test_nonfinite_jacobi_state_is_solver_failure(self, tmp_path, capsys):
-        # the gulliver profile's curvature is not known before the run, so
-        # beta_max 1e308 reaches the Jacobi kernel, whose step matrices
-        # overflow; that must not read as "no conjugate point"
+    def test_nonfinite_jacobi_state_is_solver_failure(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the step-resolution check rejects beta_max 1e308 before any solve;
+        # with it lifted, the Jacobi kernel's step matrices overflow, and
+        # that must not read as "no conjugate point"
+        monkeypatch.setattr(cli, "MAX_STEP_PHASE", math.inf)
         rc, out = _run(tmp_path, "gulliver",
                        {"beta_target": 1.75, "beta_max": 1e308})
         assert rc == cli.EXIT_SOLVER
@@ -427,14 +444,34 @@ class TestCommands:
         rc, out = _run(tmp_path, "invariant", cfg)
         assert rc == cli.EXIT_SOLVER
 
-    def test_invariant_reports_solver_stop(self, tmp_path):
+    def test_invariant_reports_solver_stop(self, tmp_path, capsys):
         cfg = {"surface": OCTAGON, "n_modes": 4, "grid": 24}
         rc, out = _run(tmp_path, "invariant", cfg)
         assert rc in (cli.EXIT_OK, cli.EXIT_SOLVER)
         doc = json.loads((out / "invariant_report.json").read_text())
-        assert doc["solver_istop"] in range(8)
-        # the iteration cap of invariant_extension: max(400, 100 n_modes)
-        assert 1 <= doc["solver_iterations"] <= 400
+        # lsqr's least-squares test stops it (istop 2) before the cap of
+        # invariant_extension, max(400, 100 n_modes)
+        assert doc["solver_istop"] == 2
+        assert 1 <= doc["solver_iterations"] < 400
+        assert "cap" not in capsys.readouterr().err
+
+    def test_invariant_says_when_the_cap_is_hit(self, tmp_path, capsys,
+                                                monkeypatch):
+        from anosovlab import smfourier as sf
+        solve = sf.invariant_extension
+        monkeypatch.setattr(sf, "invariant_extension",
+                            lambda *a, **kw: solve(*a, iter_lim=20, **kw))
+        # a tol the capped solve still meets: the exit code follows tol,
+        # not the stop reason
+        cfg = {"surface": OCTAGON, "n_modes": 4, "grid": 24, "tol": 1.0}
+        rc, out = _run(tmp_path, "invariant", cfg)
+        assert rc == cli.EXIT_OK
+        doc = json.loads((out / "invariant_report.json").read_text())
+        assert (doc["solver_istop"], doc["solver_iterations"]) == (7, 20)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert all(word in err[0] for word in (
+            "solver_istop 7", "solver_iterations 20", "cap 20"))
 
     @pytest.mark.parametrize("bad", [
         {"n_modes": 2}, {"n_modes": "3"}, {"spatial_band": -1},

@@ -341,18 +341,27 @@ def _eta_loop_forward(op, h):
     return out
 
 
-def _pack(fields, ks):
-    """lsqr's layout: mode by mode, the real part then the imaginary part."""
-    return np.concatenate([np.concatenate([fields[k].real.ravel(),
-                                           fields[k].imag.ravel()])
-                           for k in ks])
+def _flat(fields, ks):
+    """The operator's layout: the modes ks stacked in order, flattened."""
+    return np.concatenate([fields[k].ravel() for k in ks])
 
 
-def _unpack(x, ks, shape):
-    n = shape[0] * shape[1]
-    return {k: (x[2 * i * n:(2 * i + 1) * n]
-                + 1j * x[(2 * i + 1) * n:(2 * i + 2) * n]).reshape(shape)
-            for i, k in enumerate(ks)}
+def _modes(x, ks, shape):
+    return dict(zip(ks, x.reshape((len(ks),) + shape)))
+
+
+def _complex_normal(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _real_space_precond(op, y):
+    """The right preconditioner as applied in real space, ifft2(N fft2(y))
+    on an in-mode stack y, with N applied by einsum: kept here as an
+    oracle for the Fourier-space products."""
+    ch = op.ch
+    N = op._N.reshape(ch.nx, ch.ny, len(op.in_ks), len(op.in_ks))
+    Y = np.fft.fft2(y.reshape(len(op.in_ks), ch.nx, ch.ny), axes=(-2, -1))
+    return np.fft.ifft2(np.einsum("xyij,jxy->ixy", N, Y), axes=(-2, -1))
 
 
 LADDER_CASES = {
@@ -370,27 +379,62 @@ LADDER_CASES = {
 class TestLadderOperator:
     def test_forward_matches_eta_loop(self, chart, case):
         op = sf._LadderOperator(chart, **LADDER_CASES[case])
-        x = np.random.default_rng(21).normal(size=op.shape[1])
-        expect = _pack(_eta_loop_forward(
-            op, _unpack(x, op.in_ks, (chart.nx, chart.ny))), op.out_ks)
+        x = _complex_normal(np.random.default_rng(21), op.shape[1])
+        expect = _flat(_eta_loop_forward(
+            op, _modes(x, op.in_ks, (chart.nx, chart.ny))), op.out_ks)
         got = op.matvec(x)
         # the batched products keep the loop's arithmetic, operation by
         # operation, so the two agree exactly, not merely to rounding
         assert np.array_equal(got, expect)
         if op.T_floor is not None:
             low = [k for k in op.out_ks if abs(k) < op.T_floor]
-            rows = _unpack(got, op.out_ks, (chart.nx, chart.ny))
+            rows = _modes(got, op.out_ks, (chart.nx, chart.ny))
             assert low and not any(np.any(rows[k]) for k in low)
 
     def test_rmatvec_is_the_adjoint(self, chart, case):
         op = sf._LadderOperator(chart, **LADDER_CASES[case])
         rng = np.random.default_rng(22)
-        x = rng.normal(size=op.shape[1])
-        y = rng.normal(size=op.shape[0])
-        Ax, ATy = op.matvec(x), op.rmatvec(y)
-        assert ATy.shape == (op.shape[1],)
+        x = _complex_normal(rng, op.shape[1])
+        y = _complex_normal(rng, op.shape[0])
+        Ax, AHy = op.matvec(x), op.rmatvec(y)
+        assert AHy.shape == (op.shape[1],)
         scale = np.linalg.norm(Ax) * np.linalg.norm(y)
-        assert abs(Ax @ y - x @ ATy) <= 1e-12 * scale
+        # Hermitian inner products: (A x, y) = (x, A^H y)
+        assert abs(np.vdot(y, Ax) - np.vdot(AHy, x)) <= 1e-12 * scale
+
+    def test_fourier_space_product_matches_real_space(self, chart, case):
+        # lsqr's unknown is the unitary fft2 of the real-space one, so A N
+        # at y_hat is the real-space product A ifft2(N fft2(y)) at
+        # y = ifft2(y_hat, norm="ortho")
+        op = sf._LadderOperator(chart, **LADDER_CASES[case])
+        op._build_precond()
+        y_hat = _complex_normal(np.random.default_rng(23), op.shape[1])
+        y = np.fft.ifft2(y_hat.reshape(len(op.in_ks), chart.nx, chart.ny),
+                         axes=(-2, -1), norm="ortho")
+        expect = op.matvec(_real_space_precond(op, y).ravel())
+        got = op.precond_matvec(y_hat)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_fourier_space_adjoint_matches_real_space(self, chart, case):
+        # the adjoint returns the unitary fft2 of the real-space adjoint
+        # ifft2(N fft2(A^H x))
+        op = sf._LadderOperator(chart, **LADDER_CASES[case])
+        op._build_precond()
+        x = _complex_normal(np.random.default_rng(24), op.shape[0])
+        real = _real_space_precond(op, op.rmatvec(x))
+        expect = np.fft.fft2(real, axes=(-2, -1), norm="ortho").ravel()
+        got = op.precond_rmatvec(x)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_fourier_space_products_are_adjoint(self, chart, case):
+        op = sf._LadderOperator(chart, **LADDER_CASES[case])
+        op._build_precond()
+        rng = np.random.default_rng(25)
+        y = _complex_normal(rng, op.shape[1])
+        x = _complex_normal(rng, op.shape[0])
+        ANy, NAHx = op.precond_matvec(y), op.precond_rmatvec(x)
+        scale = np.linalg.norm(ANy) * np.linalg.norm(x)
+        assert abs(np.vdot(x, ANy) - np.vdot(NAHx, y)) <= 1e-12 * scale
 
 
 class TestInvariantExtension:
