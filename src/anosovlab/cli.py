@@ -370,7 +370,8 @@ def cmd_invariant(cfg, out, seed):
         "mode_decay_slope": diag["mode_decay_slope"],
         "solver_residual": diag["solver_residual"],
         "solver_istop": diag["solver_istop"],
-        "solver_iterations": diag["solver_iterations"]})
+        "solver_iterations": diag["solver_iterations"],
+        "solver_blocks": diag["solver_blocks"]})
     if diag["solver_istop"] == 7:
         print(f"warning: lsqr stopped at its iteration cap: solver_istop 7, "
               f"solver_iterations {diag['solver_iterations']}, cap "

@@ -15,6 +15,8 @@ u_k conj(v_k) e^{2 lam} dx dy times 2 pi (the fiber integral), and all norms
 below use it.
 """
 
+import os
+
 import numpy as np
 
 from .geometry import ConstantCurvature, FuchsianOctagon, TWO_PI, resample
@@ -627,8 +629,8 @@ class _LadderOperator:
         """Min-norm damped least squares A h = rhs (whitened internally), for
         rhs the (len(out_ks), nx, ny) stack of the output modes.
 
-        Returns the in-mode stack h, the relative residual, and lsqr's stop
-        reason ``istop`` and iteration count."""
+        Returns the in-mode stack h, the squared weighted residual of each
+        output mode, and lsqr's stop reason ``istop`` and iteration count."""
         from scipy.sparse.linalg import lsqr, LinearOperator
 
         ch = self.ch
@@ -639,11 +641,19 @@ class _LadderOperator:
         res = lsqr(AN, rhs.ravel(), damp=np.sqrt(reg), atol=LSQR_ATOL,
                    btol=1e-14, iter_lim=iter_lim)
         h = self._from_fourier(res[0]) / ch.sqrt_w
-        # relative residual in the weighted norm, rows summed in mode order
-        r2 = sum(np.sum(np.abs(self._forward(h * ch.sqrt_w) - rhs) ** 2,
-                        axis=(-2, -1)).tolist())
-        b2 = sum(np.sum(np.abs(rhs) ** 2, axis=(-2, -1)).tolist())
-        return h, np.sqrt(r2 / max(b2, 1e-300)), int(res[1]), int(res[2])
+        r2 = _rows2(self._forward(h * ch.sqrt_w) - rhs)
+        return h, r2, int(res[1]), int(res[2])
+
+
+def _rows2(stack):
+    """Squared l2 norm of each field of a (n, nx, ny) stack."""
+    return np.sum(np.abs(stack) ** 2, axis=(-2, -1))
+
+
+def _relative_residual(r2, b2):
+    """sqrt(sum r2 / sum b2) for the squared residuals r2 and right-hand
+    sides b2 of the output modes, summed in mode order."""
+    return np.sqrt(sum(r2.tolist()) / max(sum(b2.tolist()), 1e-300))
 
 
 def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
@@ -668,9 +678,10 @@ def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
     else:
         out_ks = [k for k in range(-N - 1, N + 2) if abs(k) >= m + 1]
         op = _LadderOperator(ch, in_ks, out_ks, V_power=1, T_floor=m + 1)
-    h, resid, _, _ = op.solve(np.array([f.get(k) for k in out_ks]), reg=reg,
-                              iter_lim=iter_lim)
-    return SMField.from_array(ch, h), resid
+    rhs = np.array([f.get(k) for k in out_ks])
+    h, r2, _, _ = op.solve(rhs, reg=reg, iter_lim=iter_lim)
+    return SMField.from_array(ch, h), _relative_residual(
+        r2, _rows2(rhs * ch.sqrt_w))
 
 
 # ----------------------------------------------------------------------------
@@ -686,6 +697,50 @@ def ladder_residual(w):
     res = np.sqrt(w.chart.norm2(up + dn))
     return {k: {"residual": r, "truncation_affected": abs(k) >= N - 1}
             for k, r in zip(range(-N + 1, N), res)}
+
+
+def _ladder_blocks(free, out_ks):
+    """The connected components of the ladder graph, in which out mode k
+    joins the free modes k - 1 and k + 1: one (free rows, out rows) pair of
+    index lists per component, in order of first free mode.  Each is a least
+    squares problem of its own.  An out mode with no free neighbour reads
+    only prescribed modes and belongs to no component."""
+    root = {k: k for k in free}
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+    for k in out_ks:
+        if k - 1 in root and k + 1 in root:
+            root[find(k + 1)] = find(k - 1)
+    blocks = {}
+    for i, k in enumerate(free):
+        blocks.setdefault(find(k), ([], []))[0].append(i)
+    for i, k in enumerate(out_ks):
+        nbr = [j for j in (k - 1, k + 1) if j in root]
+        if nbr:
+            blocks[find(nbr[0])][1].append(i)
+    return list(blocks.values())
+
+
+def _n_workers(n_tasks):
+    """Threads for n_tasks independent solves: at most one per task and
+    one per CPU this process may run on."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(n_tasks, cpus)
+
+
+def _map_threads(fn, tasks):
+    """[fn(t) for t in tasks], the tasks run at once on _n_workers threads
+    (numpy's FFTs and ufuncs release the GIL)."""
+    workers = _n_workers(len(tasks))
+    if workers < 2:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _mode(data, k):
@@ -704,11 +759,15 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
         k = m, m+2, ... with w_m = q_m.
 
     The free modes minimize ||Xw|| (ridge-regularized least squares); the
-    prescribed modes are matched exactly by construction.  Returns (w, diag)
-    with the interior ladder residuals, the mode-decay slope, and lsqr's stop
-    reason ``solver_istop`` and ``solver_iterations`` (None and 0 when no
-    mode is free) under its cap ``solver_iter_lim``: istop 2 is the normal
-    stop, 7 the cap."""
+    prescribed modes are matched exactly by construction.  The prescribed
+    modes cut the ladder into independent problems (for w0 and two-sided w1,
+    the k > 0 and the k < 0 modes), solved at once on up to one thread each.
+    Returns (w, diag) with the interior ladder residuals, the mode-decay
+    slope, and lsqr's stop: ``solver_blocks`` holds each problem's out modes,
+    ``istop`` and ``iterations``; ``solver_istop`` is 7 if any problem hit
+    the cap ``solver_iter_lim``, else the largest istop (2 is the normal
+    stop), and ``solver_iterations`` the largest count (None and 0 when no
+    mode is free).  ``solver_residual`` is relative over all out modes."""
     if variant == "w0":
         f = data
         ch = f.chart
@@ -737,18 +796,34 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
         raise ValueError(f"unknown variant {variant!r}")
 
     fixed = np.array(fixed, dtype=complex)
-    op = _LadderOperator(ch, free, out_ks, V_power=0)
     # rhs: -X(fixed part) on the output band
     ks = np.array(out_ks)
     rhs = -np.add(*_eta_sides(ch, fixed, _ladder_nbr(fixed_ks, out_ks),
                               _eta_coef(ch, ks - 1, ks + 1)))
     iter_lim = iter_lim or max(400, 100 * n_modes)
+    blocks = _ladder_blocks(free, out_ks)
+
+    def solve(block):
+        free_rows, out_rows = block
+        op = _LadderOperator(ch, [free[i] for i in free_rows],
+                             [out_ks[i] for i in out_rows], V_power=0)
+        return op.solve(rhs[out_rows], reg=reg, iter_lim=iter_lim)
+
+    solved = _map_threads(solve, blocks)
+    h = np.zeros((len(free), ch.nx, ch.ny), dtype=complex)
+    b2 = _rows2(rhs * ch.sqrt_w)
+    r2 = b2.copy()      # an out mode in no block keeps |rhs|^2
+    for (free_rows, out_rows), (h_b, r2_b, _, _) in zip(blocks, solved):
+        h[free_rows] = h_b
+        r2[out_rows] = r2_b
     if free:
-        h, resid, istop, itn = op.solve(rhs, reg=reg, iter_lim=iter_lim)
+        resid = _relative_residual(r2, b2)
     else:
-        h = np.zeros((0, ch.nx, ch.ny), dtype=complex)
         resid = np.sqrt(float(np.sum(ch.norm2(rhs))))
-        istop, itn = None, 0
+    solver_blocks = [{"out_modes": [out_ks[i] for i in out_rows],
+                      "istop": istop, "iterations": itn}
+                     for (_, out_rows), (_, _, istop, itn) in zip(blocks,
+                                                                  solved)]
     w = SMField(ch, n_modes=n_modes)
     w.data[np.array(fixed_ks) + n_modes] = fixed
     w.data[np.array(free, dtype=int) + n_modes] = h
@@ -763,8 +838,12 @@ def invariant_extension(data, variant="w0", n_modes=16, reg=1e-10,
     diag = {"solver_residual": resid, "ladder": lad,
             "interior_max": max(interior.values()) if interior else 0.0,
             "w_norm": norm(w), "mode_decay_slope": slope,
-            "solver_istop": istop, "solver_iterations": itn,
-            "solver_iter_lim": iter_lim}
+            # 7 (the cap) is lsqr's largest istop, so it wins the max
+            "solver_istop": max((b["istop"] for b in solver_blocks),
+                                default=None),
+            "solver_iterations": max((b["iterations"] for b in solver_blocks),
+                                     default=0),
+            "solver_iter_lim": iter_lim, "solver_blocks": solver_blocks}
     return w, diag
 
 

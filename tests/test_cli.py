@@ -454,6 +454,12 @@ class TestCommands:
         assert doc["solver_istop"] == 2
         assert 1 <= doc["solver_iterations"] < 400
         assert "cap" not in capsys.readouterr().err
+        # the k < 0 and k > 0 halves of the ladder are solved apart
+        blocks = doc["solver_blocks"]
+        assert [b["out_modes"] for b in blocks] == [[-3, -1], [1, 3]]
+        assert all(b["istop"] == 2 for b in blocks)
+        assert doc["solver_iterations"] == max(b["iterations"]
+                                               for b in blocks)
 
     def test_invariant_says_when_the_cap_is_hit(self, tmp_path, capsys,
                                                 monkeypatch):

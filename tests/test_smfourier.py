@@ -479,6 +479,111 @@ class TestInvariantExtension:
             assert v["truncation_affected"] == (abs(k) >= 4)
 
 
+def _one_block(free, out_ks):
+    return [(list(range(len(free))), list(range(len(out_ks))))]
+
+
+def _coupled_extension(monkeypatch, *args, **kwargs):
+    """invariant_extension as one least-squares problem over every free and
+    out mode, with the out modes that read no free mode as zero rows: the
+    solve before the ladder was split, kept here as an oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(sf, "_ladder_blocks", _one_block)
+        return sf.invariant_extension(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def octagon_f(octagon):
+    return sf.octagon_mode0_field(octagon, rng=np.random.default_rng(3),
+                                  n=24)
+
+
+@pytest.fixture(scope="module")
+def torus_f(chart):
+    return sf.SMField.random_real(chart, n_modes=0, spatial_band=2,
+                                  rng=np.random.default_rng(4))
+
+
+def _odd_data(chart):
+    """Band-limited data for the w1 and wm variants (not invariant data: the
+    out modes that read only prescribed modes keep a residual)."""
+    return sf.SMField.random_real(chart, n_modes=2, spatial_band=2,
+                                  rng=np.random.default_rng(5))
+
+
+class TestLadderBlocks:
+    @pytest.mark.parametrize("data", ["octagon_f", "torus_f"])
+    def test_split_matches_coupled_solve(self, request, monkeypatch, data):
+        f = request.getfixturevalue(data)
+        n_modes = 4 if data == "octagon_f" else 6
+        w, diag = sf.invariant_extension(f, "w0", n_modes=n_modes, reg=1e-12)
+        wc, diag_c = _coupled_extension(monkeypatch, f, "w0",
+                                        n_modes=n_modes, reg=1e-12)
+        assert np.linalg.norm(w.data - wc.data) <= 1e-8 * np.linalg.norm(
+            wc.data)
+        assert np.array_equal(w.get(0), f.get(0))
+        assert [b["out_modes"] for b in diag["solver_blocks"]] == [
+            list(range(-n_modes + 1, 0, 2)), list(range(1, n_modes, 2))]
+        assert len(diag_c["solver_blocks"]) == 1
+
+    def test_two_sided_w1_splits_in_two(self, octagon_f):
+        u = _odd_data(octagon_f.chart)
+        _, diag = sf.invariant_extension((u, u), "w1", n_modes=5, reg=1e-12)
+        # out mode 0 reads only the prescribed modes -1 and 1
+        assert [b["out_modes"] for b in diag["solver_blocks"]] == [
+            [-4, -2], [2, 4]]
+
+    @pytest.mark.parametrize("variant", ["w1", "wm"])
+    def test_one_sided_variants_form_one_block(self, monkeypatch, octagon_f,
+                                               variant):
+        u = _odd_data(octagon_f.chart)
+        data, low = (u, 0) if variant == "w1" else ((u, 2), 1)
+        _, diag = sf.invariant_extension(data, variant, n_modes=5, reg=1e-12)
+        _, diag_c = _coupled_extension(monkeypatch, data, variant, n_modes=5,
+                                       reg=1e-12)
+        (block,) = diag["solver_blocks"]
+        assert low not in block["out_modes"]
+        assert low in diag_c["solver_blocks"][0]["out_modes"]
+        # the out mode that reads no free mode still counts in the residual
+        assert diag["solver_residual"] > 0.1
+        assert abs(diag["solver_residual"] - diag_c["solver_residual"]) \
+            <= 1e-12
+
+    def test_stop_reports_the_worst_block(self, monkeypatch, octagon_f):
+        solve = sf._LadderOperator.solve
+
+        def capped(op, rhs, reg, iter_lim):
+            # the k < 0 half alone stops at a cap of 5 iterations
+            return solve(op, rhs, reg=reg,
+                         iter_lim=5 if op.out_ks[0] < 0 else iter_lim)
+        monkeypatch.setattr(sf._LadderOperator, "solve", capped)
+        _, diag = sf.invariant_extension(octagon_f, "w0", n_modes=4,
+                                         reg=1e-12)
+        neg, pos = diag["solver_blocks"]
+        assert (neg["istop"], neg["iterations"]) == (7, 5)
+        assert pos["istop"] == 2 and pos["iterations"] > 5
+        assert diag["solver_istop"] == 7
+        assert diag["solver_iterations"] == pos["iterations"]
+
+    def test_one_worker_matches_threads(self, monkeypatch, octagon_f):
+        runs = []
+        for workers in (lambda n: n, lambda n: 1):
+            monkeypatch.setattr(sf, "_n_workers", workers)
+            runs.append(sf.invariant_extension(octagon_f, "w0", n_modes=4,
+                                               reg=1e-12))
+        (w, diag), (w1, diag1) = runs
+        assert np.array_equal(w.data, w1.data)
+        assert diag["solver_blocks"] == diag1["solver_blocks"]
+        assert diag["solver_residual"] == diag1["solver_residual"]
+
+    def test_components_of_the_ladder_graph(self):
+        # out mode 1 joins 0 and 2, out mode 5 joins 4 and 6; 2 and 4 share
+        # no out mode, and out mode 9 reads no free mode
+        assert sf._ladder_blocks([0, 2, 4, 6, 11], [1, 5, 9, 10]) == [
+            ([0, 1], [0]), ([2, 3], [1]), ([4], [3])]
+        assert sf._ladder_blocks([], [1]) == []
+
+
 class TestFourierProduct:
     def test_single_mode_product(self, chart):
         xs = np.arange(chart.nx) * (chart.Lx / chart.nx)
