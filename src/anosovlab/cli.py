@@ -83,7 +83,9 @@ def _load_config(path, command):
     return cfg
 
 
-# the Jacobi solves keep K on a half grid of 2 T_max/dt + 1 points
+# the Jacobi solves keep K on a half grid of 2 T_max/dt + 1 points, one
+# grid per pool profile only while the pool's grids take at most
+# cocycle.MAX_KEPT_SAMPLES samples, one at a time past that
 MAX_JACOBI_STEPS = 10 ** 7
 
 # the most radians of the fastest Jacobi oscillation, sqrt(beta |K|) per
@@ -185,6 +187,20 @@ def _surface(cfg):
         raise ConfigError(f"invalid surface spec: {e}")
 
 
+# rows of a CSV report formatted and written together: a chunk's text is
+# ~40 kB, small enough not to raise the peak RSS of a run
+_CSV_CHUNK = 256
+
+
+def _csv_text(column):
+    """The text ``csv.writer`` writes for each value of a float64 array --
+    repr of the value, never quoted -- or the column itself for any other
+    column, which ``csv.writer`` then formats."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return [repr(v) for v in column.tolist()]
+    return column
+
+
 class _Out:
     def __init__(self, outdir, cfg):
         self.dir = Path(outdir)
@@ -200,12 +216,21 @@ class _Out:
             f.write("\n")
         return path
 
-    def csv(self, name, header, rows):
+    def csv(self, name, columns):
+        """Write ``columns`` (header -> equal-length column) as CSV, the
+        bytes ``csv.writer`` writes row by row, formatted and written
+        _CSV_CHUNK rows at a time."""
+        cols = list(columns.values())
+        n = len(cols[0]) if cols else 0
+        if any(len(c) != n for c in cols):
+            raise ValueError(f"{name}: columns of unequal length")
         path = self.dir / name
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
+            w.writerow(list(columns))
+            for a in range(0, n, _CSV_CHUNK):
+                w.writerows(zip(*(_csv_text(c[a:a + _CSV_CHUNK])
+                                  for c in cols)))
         return path
 
 
@@ -237,7 +262,7 @@ def cmd_pestov(cfg, out, seed):
     else:
         raise ConfigError(f"unsupported surface {type(model).__name__}")
 
-    rows = []
+    residuals = np.empty((n_fields, len(charts)))
     for i in range(n_fields):
         state = rng.bit_generator.state
         for j, ch in enumerate(charts):
@@ -247,10 +272,12 @@ def cmd_pestov(cfg, out, seed):
                                        spatial_band=band, rng=rng)
             if window is not None:
                 u = sf.SMField.from_array(ch, u.data * window[j])
-            rows.append((i, ch.nx, sf.pestov_residual(u)))
-    out.csv("pestov_residuals.csv", ["field", "grid", "residual"], rows)
-    coarse = [r[2] for r in rows if r[1] == charts[0].nx]
-    fine = [r[2] for r in rows if r[1] == charts[1].nx]
+            residuals[i, j] = sf.pestov_residual(u)
+    out.csv("pestov_residuals.csv", {
+        "field": np.repeat(np.arange(n_fields), len(charts)),
+        "grid": np.tile([ch.nx for ch in charts], n_fields),
+        "residual": residuals.ravel()})
+    coarse, fine = residuals.T.tolist()
     # only fields whose coarse residual is above the rounding floor have a
     # refinement ratio; null when there is none
     ratios = [c / f if f > 0 else np.inf for c, f in zip(coarse, fine)
@@ -320,9 +347,10 @@ def cmd_xray(cfg, out, seed):
         threshold=float(cfg.get("kernel_threshold", 1e-6)),
         n_samples=n_samples)
     out.json("xray_report.json", report)
-    out.csv("geodesic_pool.csv", ["index", "word", "length"],
-            [(i, "".join(map(str, g.word)), g.period)
-             for i, g in enumerate(pool)])
+    out.csv("geodesic_pool.csv", {
+        "index": np.arange(len(pool)),
+        "word": ["".join(map(str, g.word)) for g in pool],
+        "length": np.array([g.period for g in pool])})
     return EXIT_OK
 
 
@@ -356,12 +384,15 @@ def cmd_invariant(cfg, out, seed):
     tol = float(cfg.get("tol", 1e-6))
     rel = diag["interior_max"] / max(diag["w_norm"], 1e-300)
     norms = np.sqrt(w.chart.norm2(w.data))      # w0 lives on the even modes
-    out.csv("invariant_modes.csv", ["k", "norm"],
-            [(k, norms[k + n_modes]) for k in range(-n_modes, n_modes + 1)
-             if k % 2 == 0])
-    out.csv("ladder_residuals.csv", ["k", "residual", "truncation_affected"],
-            [(k, v["residual"], v["truncation_affected"])
-             for k, v in sorted(diag["ladder"].items())])
+    ks = np.arange(-n_modes, n_modes + 1)
+    even = ks % 2 == 0
+    out.csv("invariant_modes.csv", {"k": ks[even], "norm": norms[even]})
+    ladder = sorted(diag["ladder"].items())
+    out.csv("ladder_residuals.csv", {
+        "k": np.array([k for k, _ in ladder]),
+        "residual": np.array([v["residual"] for _, v in ladder]),
+        "truncation_affected": np.array([v["truncation_affected"]
+                                         for _, v in ladder])})
     out.json("invariant_report.json", {
         "variant": variant, "n_modes": n_modes,
         "interior_ladder_max": diag["interior_max"],
@@ -407,7 +438,7 @@ def cmd_gulliver(cfg, out, seed):
     out.json("gulliver_params.json", params.to_json())
     out.json("terminator_certificate.json", cert.to_json())
     ts = np.arange(0.0, profile.T, profile.dt)
-    out.csv("profile.csv", ["t", "K"], zip(ts, profile(ts)))
+    out.csv("profile.csv", {"t": ts, "K": profile(ts)})
     return EXIT_OK
 
 

@@ -49,10 +49,15 @@ _BLOCK = 4096       # steps whose step matrices are built together
 _GROWTH = 512.0     # bound on log ||P_j||_inf inside a chunk (e^512 ~ 1e222)
 
 
+def _steps(t0, t1, dt):
+    """The n RK4 steps of size h that the grid [t0, t1] at dt takes."""
+    n = max(1, int(round(abs(t1 - t0) / dt)))
+    return n, (t1 - t0) / n
+
+
 def _half_grid(profile, t0, t1, dt):
     """Time grid [t0, t1] with n RK4 steps and K sampled at half steps."""
-    n = max(1, int(round(abs(t1 - t0) / dt)))
-    h = (t1 - t0) / n
+    n, h = _steps(t0, t1, dt)
     t_half = t0 + np.arange(2 * n + 1) * (h / 2.0)
     return n, h, profile(t_half)
 
@@ -216,13 +221,23 @@ def jacobi_first_zero_batch(K_half, betas, h):
     return out
 
 
-def first_conjugate_time(profile, beta, T_max=200.0, dt=1e-2):
+def first_conjugate_time(profile, beta, T_max=200.0, dt=1e-2, K_half=None):
     """Smallest t in (0, T_max] where the solution with y(0)=0, y'(0)=1
     vanishes, or None.  Zero located by sign change plus a cubic-Hermite root
     on the bracketing step (4th-order accurate); see
-    ``jacobi_first_zero_batch``."""
-    _, h, Kh = _half_grid(profile, 0.0, T_max, dt)
-    t = jacobi_first_zero_batch(Kh[None, :], [beta], h)[0]
+    ``jacobi_first_zero_batch``.
+
+    ``K_half``, when given, is the profile's curvature on the half grid of
+    [0, T_max] at ``dt`` (``_half_grid(profile, 0.0, T_max, dt)[2]``), so a
+    caller testing one profile at many beta samples it once."""
+    if K_half is None:
+        _, h, K_half = _half_grid(profile, 0.0, T_max, dt)
+    else:
+        n, h = _steps(0.0, T_max, dt)
+        if len(K_half) != 2 * n + 1:
+            raise ValueError(f"K_half holds {len(K_half)} samples; the half "
+                             f"grid of {n} steps has {2 * n + 1}")
+    t = jacobi_first_zero_batch(K_half[None, :], [beta], h)[0]
     return None if np.isnan(t) else float(t)
 
 
@@ -351,10 +366,11 @@ class TerminatorCertificate:
         }
 
 
-def _pool_free_of_conjugate_points(profiles, beta, T_max, dt, evidence):
+def _pool_free_of_conjugate_points(profiles, K_halves, beta, T_max, dt,
+                                   evidence):
     free = True
-    for p in profiles:
-        t = first_conjugate_time(p, beta, T_max=T_max, dt=dt)
+    for p, K_half in zip(profiles, K_halves):
+        t = first_conjugate_time(p, beta, T_max=T_max, dt=dt, K_half=K_half)
         evidence.append({"beta": beta, "profile": p.name,
                          "first_conjugate_time": t})
         if t is not None:
@@ -362,24 +378,39 @@ def _pool_free_of_conjugate_points(profiles, beta, T_max, dt, evidence):
     return free
 
 
+# the most half-grid K samples terminator_bisect keeps for its whole pool,
+# 32 MB of float64; a pool whose grids take more is sampled again on every
+# pass, one profile at a time
+MAX_KEPT_SAMPLES = 1 << 22
+
+
 def terminator_bisect(profiles, beta_max=64.0, tol=1e-3, T_max=200.0, dt=1e-2):
     """Bracket the terminator value over a finite profile pool by bisection.
 
     beta = 0 is always conjugate-point-free (y'' = 0).  If beta_max is free on
     every profile the certificate reports "exceeds beta_max" (the finite
-    surrogate for beta_Ter = infinity, e.g. K <= 0)."""
+    surrogate for beta_Ter = infinity, e.g. K <= 0).  Every pass steps on one
+    grid, so each profile is sampled on it once, for all passes, while the
+    pool's grids hold at most MAX_KEPT_SAMPLES samples."""
     profiles = list(profiles)
     if not profiles:
         raise ValueError("empty profile pool")
     names = [p.name for p in profiles]
+    n, _ = _steps(0.0, T_max, dt)
+    if len(profiles) * (2 * n + 1) <= MAX_KEPT_SAMPLES:
+        K_halves = [_half_grid(p, 0.0, T_max, dt)[2] for p in profiles]
+    else:
+        K_halves = [None] * len(profiles)
     evidence = []
-    if _pool_free_of_conjugate_points(profiles, beta_max, T_max, dt, evidence):
+    if _pool_free_of_conjugate_points(profiles, K_halves, beta_max, T_max, dt,
+                                      evidence):
         return TerminatorCertificate(beta_max, np.inf, True, beta_max,
                                      names, evidence)
     lo, hi = 0.0, beta_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _pool_free_of_conjugate_points(profiles, mid, T_max, dt, evidence):
+        if _pool_free_of_conjugate_points(profiles, K_halves, mid, T_max, dt,
+                                          evidence):
             lo = mid
         else:
             hi = mid

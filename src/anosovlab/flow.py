@@ -134,26 +134,40 @@ def _rk4_step(model, states, h):
     return states
 
 
+def _n_steps(T, dt):
+    """The n = max(1, round(T/dt)) steps of h = T/n that fixed-step RK4 takes
+    over [0, T] at dt."""
+    n = max(1, int(round(T / dt)))
+    return n, T / n
+
+
+def _rk4_states(model, states, T, dt):
+    """The n + 1 states of fixed-step RK4 over [0, T] at dt (``_n_steps``),
+    the start first, each yielded as it is reached."""
+    n, h = _n_steps(T, dt)
+    yield states
+    for _ in range(n):
+        states = _rk4_step(model, states, h)
+        yield states
+
+
 def rk4_orbit(model, states, T, dt, record=True):
     """Fixed-step RK4 over [0, T] for a batch of SM states (shape (..., 3)).
 
     Returns (ts, trajectory) with trajectory shape (n_steps+1, ..., 3) when
     ``record``, else just the final states."""
-    n = max(1, int(round(T / dt)))
-    h = T / n
+    n, h = _n_steps(T, dt)
     states = np.array(states, dtype=float)
-    traj = None
-    if record:
-        traj = np.empty((n + 1,) + states.shape)
-        traj[0] = states
-    for i in range(n):
-        states = _rk4_step(model, states, h)
-        if record:
-            traj[i + 1] = states
+    orbit = _rk4_states(model, states, T, dt)
     ts = np.arange(n + 1) * h
-    if record:
-        return ts, traj
-    return ts[-1], states
+    if not record:
+        for states in orbit:
+            pass
+        return ts[-1], states
+    traj = np.empty((n + 1,) + states.shape)
+    for i, states in enumerate(orbit):
+        traj[i] = states
+    return ts, traj
 
 
 def _rk4_ends(model, states, T, dt, record=False):
@@ -169,7 +183,7 @@ def _rk4_ends(model, states, T, dt, record=False):
     states = np.array(states, dtype=float)
     T = np.asarray(T, dtype=float)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), T.shape)
-    n = np.array([max(1, int(round(t / d))) for t, d in zip(T, dt)])
+    n = np.array([_n_steps(t, d)[0] for t, d in zip(T, dt)])
     h = (T / n)[:, None]
     if record:
         traj = np.empty((n.max() + 1,) + states.shape)
@@ -374,6 +388,10 @@ def trapping_surrogate(model, n_dir=256, T_window=50.0, kappa_floor=1e-4,
     trapping if some orbit sees max |K| < kappa_floor throughout.  A negative
     result is reported as "no trapping detected (finite test)" -- the infinite
     -time condition is not decidable from a finite window.
+
+    The orbits are not recorded: K is sampled on each state as the orbits
+    reach it, into a running max |K| per orbit, so memory does not grow with
+    T_window.
     """
     if isinstance(model, (ConstantCurvature, FuchsianOctagon)):
         # curvature is constant over the whole surface by construction
@@ -384,15 +402,15 @@ def trapping_surrogate(model, n_dir=256, T_window=50.0, kappa_floor=1e-4,
                 "min_max_abs_K": K0,
                 "note": "constant-curvature model: K uniform; finite test"}
     rng = np.random.default_rng(seed)
-    starts = np.column_stack([
+    states = np.column_stack([
         rng.uniform(0, model.Lx, n_dir),
         rng.uniform(0, model.Ly, n_dir),
         rng.uniform(0, TWO_PI, n_dir),
     ])
-    _, traj = rk4_orbit(model, starts, T_window, dt)   # (n_steps+1, n_dir, 3)
-    Kvals = _curvature_samples(model, traj.reshape(-1, 3)).reshape(
-        traj.shape[:-1])
-    per_orbit_max = np.max(np.abs(Kvals), axis=0)
+    per_orbit_max = np.zeros(n_dir)
+    for states in _rk4_states(model, states, T_window, dt):
+        np.maximum(per_orbit_max, np.abs(_curvature_samples(model, states)),
+                   out=per_orbit_max)
     min_max = float(np.min(per_orbit_max))
     return {"trapped_detected": bool(min_max < kappa_floor), "n_dir": n_dir,
             "T_window": T_window, "kappa_floor": kappa_floor,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import tempfile
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anosovlab import cli
 
@@ -520,6 +523,61 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG
 
 
+def _csv_writer_bytes(header, columns):
+    """What csv.writer writes for the rows of ``columns``, value by value."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(zip(*columns))
+    return buf.getvalue().encode()
+
+
+class TestCsvWriter:
+    def _write(self, tmp_path, columns):
+        out = cli._Out(tmp_path, {})
+        return out.csv("t.csv", columns).read_bytes()
+
+    def test_edge_floats(self, tmp_path):
+        x = np.array([-0.0, 0.0, 1e-300, 1e16, 0.1 + 0.2, -1e-5, 5e-324,
+                      np.inf, -np.inf, np.nan, 1.0, 123456789.125])
+        # -0.0 and 0.0 compare equal, but print apart
+        runs = np.repeat([-1.0, 0.0012, -0.0, 0.0], 3)
+        two = np.where(np.arange(len(x)) % 2 == 0, -0.0, 0.0)
+        got = self._write(tmp_path, {"x": x, "runs": runs, "two": two})
+        assert got == _csv_writer_bytes(["x", "runs", "two"], [x, runs, two])
+        assert b",-0.0,-0.0\r\n" in got and b",0.0,0.0\r\n" in got
+
+    def test_two_value_column_across_chunks(self, tmp_path):
+        n = 2 * cli._CSV_CHUNK + 17
+        t = np.arange(n) * 2e-3
+        K = np.where(t < 0.7, 1.2e-3, -1.0)
+        got = self._write(tmp_path, {"t": t, "K": K})
+        assert got == _csv_writer_bytes(["t", "K"], [t, K])
+
+    def test_other_columns(self, tmp_path):
+        cols = {"i": np.arange(4), "word": ["0", "01", "a,b", 'q"'],
+                "ok": np.array([True, False, True, False]),
+                "f32": np.array([0.1, 0.2, 0.3, 0.4], dtype=np.float32),
+                "x": [np.float64(0.1), 1, 2.5, np.float64(-0.0)]}
+        got = self._write(tmp_path, cols)
+        assert got == _csv_writer_bytes(list(cols), list(cols.values()))
+
+    def test_empty_and_unequal_columns(self, tmp_path):
+        assert self._write(tmp_path, {"k": np.array([]),
+                                      "r": np.array([])}) == b"k,r\r\n"
+        with pytest.raises(ValueError, match="unequal"):
+            self._write(tmp_path, {"a": np.zeros(3), "b": np.zeros(2)})
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(0, 40),
+                        elements=st.floats(allow_nan=True,
+                                           allow_infinity=True)))
+    def test_any_floats(self, x):
+        with tempfile.TemporaryDirectory() as tmp:
+            got = self._write(Path(tmp), {"x": x, "y": x[::-1]})
+        assert got == _csv_writer_bytes(["x", "y"], [x, x[::-1]])
+
+
 class TestDeterminism:
     def test_same_seed_same_output(self, tmp_path):
         cfg = {"surface": SPHERE}
@@ -558,6 +616,15 @@ class TestDeterminism:
         rc2, out2 = _run(tmp_path, "xray", cfg, seed=3, sub="b")
         assert rc1 == rc2 == cli.EXIT_OK
         for name in ("xray_report.json", "geodesic_pool.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_gulliver_same_seed_same_output(self, tmp_path):
+        cfg = {"beta_target": 1.75}
+        rc1, out1 = _run(tmp_path, "gulliver", cfg, seed=3, sub="a")
+        rc2, out2 = _run(tmp_path, "gulliver", cfg, seed=3, sub="b")
+        assert rc1 == rc2 == cli.EXIT_OK
+        for name in ("gulliver_params.json", "terminator_certificate.json",
+                     "profile.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_recorded(self, tmp_path):

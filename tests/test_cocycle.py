@@ -253,6 +253,96 @@ class TestTerminator:
                             "profiles", "evidence"}
 
 
+def per_beta_bisect(profiles, beta_max=64.0, tol=1e-3, T_max=200.0, dt=1e-2):
+    """Oracle: terminator bisection sampling each profile anew at every
+    beta, through first_conjugate_time's own sampling."""
+    evidence = []
+
+    def free(beta):
+        ok = True
+        for p in profiles:
+            t = first_conjugate_time(p, beta, T_max=T_max, dt=dt)
+            evidence.append({"beta": beta, "profile": p.name,
+                             "first_conjugate_time": t})
+            ok = ok and t is None
+        return ok
+
+    names = [p.name for p in profiles]
+    if free(beta_max):
+        return cocycle.TerminatorCertificate(beta_max, np.inf, True, beta_max,
+                                             names, evidence).to_json()
+    lo, hi = 0.0, beta_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if free(mid) else (lo, mid)
+    return cocycle.TerminatorCertificate(lo, hi, False, beta_max, names,
+                                         evidence).to_json()
+
+
+class TestSampledOnce:
+    """terminator_bisect samples each profile once for all its passes."""
+
+    @pytest.fixture(scope="class")
+    def torus_pool(self, curved_torus):
+        return cocycle._profile_pool(curved_torus, seed=1)
+
+    def _gulliver(self):
+        prof = gulliver.synth_profile(gulliver.search_params(1.75))
+        return prof, 3.0 * prof.T
+
+    def test_certificates_match_the_per_beta_oracle(self, torus_pool):
+        prof, T_max = self._gulliver()
+        cases = [(torus_pool, dict(beta_max=64.0 / 2 ** 14)),
+                 ([prof], dict(T_max=T_max, tol=1e-2)),
+                 ([CurvatureProfile.constant(1.0)], dict(tol=1e-2)),
+                 ([CurvatureProfile.constant(-1.0)], dict())]
+        for pool, kw in cases:
+            assert (terminator_bisect(pool, **kw).to_json()
+                    == per_beta_bisect(pool, **kw))
+
+    def _sampled(self, monkeypatch, pool, **kw):
+        """The profile names, one per CurvatureProfile call, and the
+        certificate of terminator_bisect(pool, **kw)."""
+        calls = []
+        orig = CurvatureProfile.__call__
+
+        def counted(self, ts):
+            calls.append(self.name)
+            return orig(self, ts)
+        monkeypatch.setattr(CurvatureProfile, "__call__", counted)
+        return calls, terminator_bisect(pool, **kw)
+
+    def test_each_profile_sampled_once(self, torus_pool, monkeypatch):
+        calls, cert = self._sampled(monkeypatch, torus_pool,
+                                    beta_max=64.0 / 2 ** 14)
+        assert len(torus_pool) == 7
+        assert len(cert.evidence) == 3 * len(torus_pool)   # three passes
+        assert calls == [p.name for p in torus_pool]
+
+    def test_kept_samples_count_the_pool(self, torus_pool, monkeypatch):
+        # the half grid of the default T_max and dt: 2 * 20000 + 1 samples;
+        # one profile's grid fits the limit, the pool's seven do not
+        kw = dict(beta_max=64.0 / 2 ** 14)
+        ref = per_beta_bisect(torus_pool, **kw)
+        monkeypatch.setattr(cocycle, "MAX_KEPT_SAMPLES", 3 * 40001)
+        calls, cert = self._sampled(monkeypatch, torus_pool[:3], **kw)
+        assert calls == [p.name for p in torus_pool[:3]]
+        calls, cert = self._sampled(monkeypatch, torus_pool, **kw)
+        # sampled again for every (profile, beta), in evidence order
+        assert calls == [e["profile"] for e in cert.evidence]
+        assert len(calls) == 3 * len(torus_pool)
+        assert cert.to_json() == ref
+
+    def test_grid_of_another_length_rejected(self):
+        prof = CurvatureProfile.constant(1.0)
+        K_half = cocycle._half_grid(prof, 0.0, 10.0, 1e-2)[2]
+        assert first_conjugate_time(prof, 1.0, T_max=10.0,
+                                    K_half=K_half) == \
+            first_conjugate_time(prof, 1.0, T_max=10.0)
+        with pytest.raises(ValueError, match="half grid"):
+            first_conjugate_time(prof, 1.0, T_max=20.0, K_half=K_half)
+
+
 class TestComparison:
     def test_larger_curvature_smaller_solution(self):
         p0 = CurvatureProfile.constant(0.5)    # K0 >= K1

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anosovlab import flow
 from anosovlab.geometry import UnitTangent, ConformalTorus, ConstantCurvature
 from anosovlab.flow import (CurvatureProfile, integrate_geodesic,
                             find_closed_geodesics, curvature_profile_along,
@@ -324,3 +325,67 @@ class TestTrappingSurrogate:
     def test_hyperbolic_not_trapped(self, hyperbolic):
         rep = trapping_surrogate(hyperbolic)
         assert not rep["trapped_detected"]
+
+
+def recorded_surrogate(model, n_dir, T_window, kappa_floor=1e-4, dt=2e-2,
+                       seed=0):
+    """Oracle: the trapping surrogate on the whole recorded trajectory, with
+    K sampled on all of it at once.  Returns (report, sampled states)."""
+    rng = np.random.default_rng(seed)
+    starts = np.column_stack([rng.uniform(0, model.Lx, n_dir),
+                              rng.uniform(0, model.Ly, n_dir),
+                              rng.uniform(0, TWO_PI, n_dir)])
+    _, traj = rk4_orbit(model, starts, T_window, dt)
+    states = traj.reshape(-1, 3)
+    K = flow._curvature_samples(model, states).reshape(traj.shape[:-1])
+    min_max = float(np.min(np.max(np.abs(K), axis=0)))
+    return {"trapped_detected": bool(min_max < kappa_floor), "n_dir": n_dir,
+            "T_window": T_window, "kappa_floor": kappa_floor,
+            "min_max_abs_K": min_max,
+            "note": "no trapping detected (finite test)"
+                    if min_max >= kappa_floor
+                    else "trapping flagged on a finite window"}, states
+
+
+class TestStreamedSurrogate:
+    # n = T_window / dt steps: one step, an odd count and a longer window
+    @pytest.mark.parametrize("T_window", (2e-2, 25 * 2e-2, 150 * 2e-2))
+    def test_matches_the_recorded_trajectory(self, curved_torus, monkeypatch,
+                                             T_window):
+        ref, ref_states = recorded_surrogate(curved_torus, 16, T_window,
+                                             kappa_floor=0.05)
+        sampled = []
+        orig = flow._curvature_samples
+
+        def keep(model, states):
+            sampled.append(states.copy())
+            return orig(model, states)
+        monkeypatch.setattr(flow, "_curvature_samples", keep)
+        rep = trapping_surrogate(curved_torus, n_dir=16, T_window=T_window,
+                                 kappa_floor=0.05)
+        assert rep == ref
+        # every recorded state is sampled once, in order, bit for bit, one
+        # state per orbit at a time
+        assert np.array_equal(np.concatenate(sampled), ref_states)
+        assert all(len(s) == 16 for s in sampled)
+
+    def test_flagged_report_matches(self, flat_torus):
+        ref, _ = recorded_surrogate(flat_torus, 8, 2.0)
+        rep = trapping_surrogate(flat_torus, n_dir=8, T_window=2.0)
+        assert rep == ref and rep["trapped_detected"]
+
+    def test_memory_does_not_grow_with_the_window(self, curved_torus):
+        # the splines are built on first use; build them before measuring
+        trapping_surrogate(curved_torus, n_dir=2, T_window=1.0)
+        peaks = []
+        for T_window in (50.0, 200.0):
+            tracemalloc.start()
+            try:
+                trapping_surrogate(curved_torus, n_dir=256, T_window=T_window,
+                                   dt=0.08)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a recorded trajectory would take 15 MB at 200 (2501 x 256 states)
+        assert peaks[1] <= 1.05 * peaks[0] and peaks[1] < 2e6
+
