@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cocycle import JacobiSolveError
+from .cocycle import JacobiSolveError, _steps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,7 +116,7 @@ def _check_step_phase(max_abs_K, which, beta_max, T_max, dt):
     """The RK4 step h = T_max/round(T_max/dt) must resolve beta_max on
     curvature up to max_abs_K (read from ``which``):
     h sqrt(beta_max max_abs_K) <= MAX_STEP_PHASE."""
-    h = T_max / max(1, round(T_max / dt))
+    _, h = _steps(0.0, T_max, dt)
     phase = h * math.sqrt(beta_max) * math.sqrt(max_abs_K)
     if phase > MAX_STEP_PHASE:
         raise ConfigError(
@@ -204,7 +204,11 @@ def _csv_text(column):
 class _Out:
     def __init__(self, outdir, cfg):
         self.dir = Path(outdir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create the output directory "
+                              f"{outdir}: {e}")
         self.stamp = {"config_sha256": _config_hash(cfg),
                       "version": __version__}
 
@@ -291,20 +295,27 @@ def cmd_pestov(cfg, out, seed):
     return EXIT_OK
 
 
-def cmd_terminator(cfg, out, seed):
-    from . import cocycle
-
+def _cocycle_setup(cfg):
+    """The pre-work of terminator and anosov: check T_max/dt, build the
+    surface and check the step phase.  Returns (surface, beta_max, tol,
+    T_max, dt) with the defaults filled in."""
     T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
     beta_max = float(cfg.get("beta_max", 64.0))
     model = _surface(cfg)
     _check_step_phase(*_max_abs_curvature(model), beta_max, T_max, dt)
+    return model, beta_max, float(cfg.get("tol", 1e-3)), T_max, dt
+
+
+def cmd_terminator(cfg, out, seed):
+    from . import cocycle
+
+    model, beta_max, tol, T_max, dt = _cocycle_setup(cfg)
     pool = cocycle._profile_pool(model, seed=seed)
     if not pool:
         print("error: empty curvature-profile pool", file=sys.stderr)
         return EXIT_DATA
-    cert = cocycle.terminator_bisect(
-        pool, beta_max=beta_max,
-        tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt)
+    cert = cocycle.terminator_bisect(pool, beta_max=beta_max, tol=tol,
+                                     T_max=T_max, dt=dt)
     out.json("terminator_certificate.json", cert.to_json())
     return EXIT_OK
 
@@ -312,13 +323,9 @@ def cmd_terminator(cfg, out, seed):
 def cmd_anosov(cfg, out, seed):
     from . import cocycle
 
-    T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
-    beta_max = float(cfg.get("beta_max", 64.0))
-    model = _surface(cfg)
-    _check_step_phase(*_max_abs_curvature(model), beta_max, T_max, dt)
-    verdict = cocycle.anosov_verdict(
-        model, beta_max=beta_max,
-        tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt, seed=seed)
+    model, beta_max, tol, T_max, dt = _cocycle_setup(cfg)
+    verdict = cocycle.anosov_verdict(model, beta_max=beta_max, tol=tol,
+                                     T_max=T_max, dt=dt, seed=seed)
     out.json("anosov_verdict.json", verdict)
     return EXIT_OK
 
@@ -460,6 +467,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, not "
+                              f"{args.seed}")
         cfg = _load_config(args.config, args.command)
         out = _Out(args.out, cfg)
         out.stamp["seed"] = args.seed

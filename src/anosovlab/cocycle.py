@@ -50,8 +50,9 @@ _GROWTH = 512.0     # bound on log ||P_j||_inf inside a chunk (e^512 ~ 1e222)
 
 
 def _steps(t0, t1, dt):
-    """The n RK4 steps of size h that the grid [t0, t1] at dt takes."""
-    n = max(1, int(round(abs(t1 - t0) / dt)))
+    """The n RK4 steps of size h that the grid [t0, t1] at dt takes (the
+    flow's step rule ``_n_steps`` over |t1 - t0|; h is signed)."""
+    n, _ = _flow._n_steps(abs(t1 - t0), dt)
     return n, (t1 - t0) / n
 
 
@@ -254,8 +255,7 @@ class HopfPair:
     gap_min: float
 
 
-def riccati_integrate(profile, beta, t0, t1, r0, dt=1e-2, record_window=None,
-                      raise_on_pole=True):
+def riccati_integrate(profile, beta, t0, t1, r0, dt=1e-2, raise_on_pole=True):
     """Integrate r' + r^2 + beta K = 0 from r(t0) = r0 (t1 may be < t0).
 
     r = y'/y for the Jacobi solution with (y, y')(t0) = (1, r0), so any
@@ -266,8 +266,7 @@ def riccati_integrate(profile, beta, t0, t1, r0, dt=1e-2, record_window=None,
     continues through them.
 
     Returns (ts, rs, poles) where rs sample r on the grid (a node where y is
-    exactly 0 reads +/-1e300, signed as the value just past the pole)
-    restricted to ``record_window`` (a (lo, hi) t-interval) when given.
+    exactly 0 reads +/-1e300, signed as the value just past the pole).
     """
     n, h, Kh = _half_grid(profile, t0, t1, dt)
     ts = t0 + np.arange(n + 1) * h
@@ -291,25 +290,20 @@ def riccati_integrate(profile, beta, t0, t1, r0, dt=1e-2, record_window=None,
             if raise_on_pole:
                 raise ConjugatePointError(tpole)
             poles.append(tpole)
-    if record_window is not None:
-        lo, hi = record_window
-        sel = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
-        return ts[sel], rs[sel], poles
     return ts, rs, poles
 
 
-def riccati_hopf(profile, beta, R=30.0, cap=1e6, dt=1e-2):
+def riccati_hopf(profile, beta, R=30.0, dt=1e-2):
     """Hopf solutions r^+/r^- over one profile period.
 
     Both solves step at h = T/max(1, round(T/dt)) on the grid {i h}, with
     the horizon R rounded to R_used = h max(1, round(R/h)): r^+ integrates
-    forward from r(-R_used) = +cap, r^- backward from r(T+R_used) = -cap, so
-    every sampled t = i h in [0, T] sits at horizon >= R_used from the data
-    and r^+, r^- are compared at the same times.  Riccati poles inside the
-    window signal conjugate points and raise."""
-    T = profile.T
-    n = max(1, int(round(T / dt)))
-    h = T / n
+    forward from r(-R_used) = +cap, r^- backward from r(T+R_used) = -cap
+    (cap = 1e6), so every sampled t = i h in [0, T] sits at horizon >=
+    R_used from the data and r^+, r^- are compared at the same times.
+    Riccati poles inside the window signal conjugate points and raise."""
+    T, cap = profile.T, 1e6
+    n, h = _steps(0.0, T, dt)
     R_used = h * max(1, int(round(R / h)))
     _, rp, _ = riccati_integrate(profile, beta, -R_used, T, cap, h)
     _, rm, _ = riccati_integrate(profile, beta, T + R_used, 0.0, -cap, h)
@@ -318,7 +312,7 @@ def riccati_hopf(profile, beta, R=30.0, cap=1e6, dt=1e-2):
                     float(np.min(rp - rm)))
 
 
-def hyperbolicity_test(profile, beta, gap_tol=1e-4, R=20.0, dt=1e-2):
+def hyperbolicity_test(profile, beta, R=20.0, dt=1e-2):
     """Theorem-style criterion: hyperbolic iff r^+ and r^- stay distinct.
 
     Compares Hopf gaps at horizons R, 2R, 4R; a stable positive gap (within
@@ -330,6 +324,7 @@ def hyperbolicity_test(profile, beta, gap_tol=1e-4, R=20.0, dt=1e-2):
         pair = riccati_hopf(profile, beta, R=Rk, dt=dt)
         gaps.append(pair.gap_min)
     g1, g2, g3 = gaps
+    gap_tol = 1e-4
     # probe growth of the cocycle over [0, 4R]
     M = cocycle_matrix(profile, beta, 4 * R, dt)
     probe_growth = float(np.linalg.norm(M @ np.array([1.0, 0.0])))
@@ -445,7 +440,7 @@ def comparison_oracle(profile0, profile1, w0, w1, t0, tol=1e-8, dt=1e-2):
 # Anosov verdict
 
 
-def _profile_pool(model, seed=0, n_windows=4, T_window=40.0):
+def _profile_pool(model, seed=0):
     if isinstance(model, ConstantCurvature):
         return [CurvatureProfile.constant(model.K0, name=f"constant K={model.K0}")]
     if isinstance(model, FuchsianOctagon):
@@ -464,17 +459,17 @@ def _profile_pool(model, seed=0, n_windows=4, T_window=40.0):
         starts = np.array([[rng.uniform(0, model.Lx),
                             rng.uniform(0, model.Ly),
                             rng.uniform(0, 2 * np.pi)]
-                           for _ in range(n_windows)])
-        pool += _flow.curvature_profile_window(model, starts, T_window)
+                           for _ in range(4)])
+        pool += _flow.curvature_profile_window(model, starts, 40.0)
         return pool
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
 def anosov_verdict(model, beta_max=64.0, tol=1e-3, T_max=200.0, dt=1e-2,
-                   seed=0, trapping_kwargs=None):
+                   seed=0):
     """Finite-evidence test of the Anosov characterization: no geodesic
     trapped in zero curvature, and terminator value > 1."""
-    trap = trapping_surrogate(model, seed=seed, **(trapping_kwargs or {}))
+    trap = trapping_surrogate(model, seed=seed)
     pool = _profile_pool(model, seed=seed)
     cert = terminator_bisect(pool, beta_max=beta_max, tol=tol, T_max=T_max, dt=dt)
     if trap["trapped_detected"]:

@@ -266,12 +266,12 @@ def _newton_search(u, tol, max_iter):
                        f"residual {np.max(np.abs(r)):.3e}")
 
 
-def find_closed_geodesics(model, homotopy, tol=1e-10, dt=None, max_iter=60):
+def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60):
     """Closed geodesics of torus homotopy classes (p, q), by shooting plus a
     damped Newton iteration on the return map.  The start is anchored on the
     line x = 0 (y0 free) to remove the translation degeneracy along the
-    geodesic; each class steps at its own dt = T0 / max(400, int(T0/5e-3))
-    unless ``dt`` is given, with T0 the flat length of the class.
+    geodesic; each class steps at its own dt = T0 / max(400, int(T0/5e-3)),
+    with T0 the flat length of the class.
 
     ``homotopy`` is one class (p, q), giving one ClosedGeodesic (a failed
     search raises RuntimeError), or a sequence of classes, giving a list
@@ -289,7 +289,7 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, dt=None, max_iter=60):
         raise TypeError("closed-geodesic shooting is for conformal tori")
     shifts = [(p * model.Lx, q * model.Ly) for p, q in classes]
     T0 = [float(np.hypot(dx, dy)) for dx, dy in shifts]
-    dts = [T / max(400, int(T / 5e-3)) if dt is None else dt for T in T0]
+    dts = [T / max(400, int(T / 5e-3)) for T in T0]
 
     def starts(us):   # SM starts on the line x = 0 of rows (y0, theta0, T)
         return np.column_stack([np.zeros(len(us)), us[:, 0], us[:, 1]])

@@ -184,10 +184,6 @@ class ConformalTorus:
         grid = _lam_values(fn, X, Y)[0].copy()
         return cls(grid, Lx, Ly, lam_fn=fn)
 
-    @classmethod
-    def flat(cls, Lx=TWO_PI, Ly=TWO_PI, n=16):
-        return cls.from_expression("0*x", Lx, Ly, n, n)
-
     # -- interpolation ------------------------------------------------------
 
     def _spline(self, grid):

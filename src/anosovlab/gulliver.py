@@ -97,10 +97,10 @@ def feasibility(params, beta):
             **({} if ok else {"violated": "cond2"})}
 
 
-def search_params(beta_target, b0=0.1, delta0=0.1):
+def search_params(beta_target):
     """Parameters realizing a terminator window [beta_target, 2).
 
-    Shrinks (b, delta) geometrically until the small-parameter conditions
+    Shrinks (b, delta) from (0.1, 0.1) until the small-parameter conditions
 
         cond3: sqrt(beta)(pi/(2 sqrt 2) + 2 b delta) < pi/2
         cond4: b tan(sqrt(beta)(pi/(2 sqrt 2) + 2 b delta)) < 1/2
@@ -111,7 +111,7 @@ def search_params(beta_target, b0=0.1, delta0=0.1):
     if not (1.5 < beta_target < 2.0):
         raise ValueError("beta_target must lie in (3/2, 2)")
     sb = np.sqrt(beta_target)
-    b, delta = float(b0), float(delta0)
+    b, delta = 0.1, 0.1
     for _ in range(200):
         ang = sb * (_C8 + 2.0 * b * delta)
         if ang < _HALF_PI and b * np.tan(ang) < 0.5:

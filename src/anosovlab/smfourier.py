@@ -99,14 +99,14 @@ class Chart:
         """Squared SM norm of a grid, or of each grid of a stack."""
         return np.sum(self.w * np.abs(f) ** 2, axis=(-2, -1))
 
-    def refine(self, factor=2):
-        """Chart at a factor-refined grid by trigonometric interpolation."""
-        shape = (self.nx * factor, self.ny * factor)
+    def refine(self):
+        """Chart at the 2x-refined grid by trigonometric interpolation."""
+        shape = (self.nx * 2, self.ny * 2)
         return Chart(resample(self.lam, shape), self.Lx, self.Ly)
 
-    def upsample(self, f, factor=2):
-        """f (a grid or a stack of grids) on the factor-refined grid."""
-        return resample(f, (self.nx * factor, self.ny * factor))
+    def upsample(self, f):
+        """f (a grid or a stack of grids) on the 2x-refined grid."""
+        return resample(f, (self.nx * 2, self.ny * 2))
 
 
 # ----------------------------------------------------------------------------
@@ -156,7 +156,7 @@ class SMField:
         return self.data[k + self.n_modes]
 
     @classmethod
-    def random_real(cls, chart, n_modes, spatial_band=4, rng=None, decay=0.0):
+    def random_real(cls, chart, n_modes, spatial_band=4, rng=None):
         """Band-limited random real field: modes |k| <= n_modes with spatial
         frequencies |m|, |n| <= spatial_band, conj-symmetrized.
 
@@ -166,11 +166,10 @@ class SMField:
         rng = rng or np.random.default_rng()
         z = rng.normal(size=(n_modes + 1, 2 * spatial_band + 1,
                              2 * spatial_band + 1, 2))
-        amp = np.exp(-decay * np.arange(n_modes + 1))[:, None, None]
         freqs = np.arange(-spatial_band, spatial_band + 1)
         spec = np.zeros((n_modes + 1, chart.nx, chart.ny), dtype=complex)
         np.add.at(spec, (slice(None), (freqs % chart.nx)[:, None],
-                         freqs % chart.ny), (z[..., 0] + 1j * z[..., 1]) * amp)
+                         freqs % chart.ny), z[..., 0] + 1j * z[..., 1])
         h = np.fft.ifft2(spec, norm="forward")
         return cls.from_array(chart, np.concatenate(
             [np.conj(h[:0:-1]), h[:1] + np.conj(h[:1]), h[1:]]))
@@ -285,9 +284,9 @@ def mixed_norm(u, s):
 # Pestov identity
 
 
-def pestov_residual(u, chart=None):
+def pestov_residual(u):
     """|  ||XVu||^2 - (K Vu, Vu) + ||Xu||^2 - ||VXu||^2  | / ||u||_{H^1}^2."""
-    ch = chart or u.chart
+    ch = u.chart
     Vu = apply_frame("V", u)
     up, dn = _x_sides(u, u.n_modes + 1)
     xn2 = u.chart.norm2(up + dn)                # ||(Xu)_k||^2
@@ -302,13 +301,13 @@ def pestov_residual(u, chart=None):
 # alpha-controlled estimate
 
 
-def _deflate_gep(A, B, cutoff=1e-10):
+def _deflate_gep(A, B):
     """Smallest eigenvalue of A v = mu B v after projecting out B's
-    near-null space (constants etc.)."""
+    near-null space (eigenvalues <= 1e-10 max: constants etc.)."""
     from scipy.linalg import eigh
 
     evals, evecs = eigh(B)
-    keep = evals > cutoff * max(evals.max(), 1e-300)
+    keep = evals > 1e-10 * max(evals.max(), 1e-300)
     if not np.any(keep):
         raise ValueError("test space entirely in the null space of ||X.||^2")
     W = evecs[:, keep]
@@ -353,22 +352,21 @@ def bump(t):
     return out
 
 
-def _patch_window(ch, support_frac=0.95, max_radius=0.62):
+def _patch_window(ch):
     """Smooth radial bump on a box chart, vanishing with all derivatives at
-    the support radius (kept inside the octagon's inscribed circle)."""
+    radius min(0.95 half-width, 0.62), inside the octagon's incircle."""
     hw = 0.5 * ch.Lx
-    r0 = min(support_frac * hw, max_radius)
+    r0 = min(0.95 * hw, 0.62)
     xs = -hw + np.arange(ch.nx) * (ch.Lx / ch.nx)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     return bump((X ** 2 + Y ** 2) / r0 ** 2)
 
 
-def octagon_mode0_field(model, rng=None, spatial_band=2, half_width=0.55,
-                        n=48):
+def octagon_mode0_field(model, rng=None, spatial_band=2, n=48):
     """A random real mode-0 SMField compactly supported inside the octagon,
     on a fundamental-domain box chart (window x low trig polynomial)."""
     rng = rng or np.random.default_rng()
-    ch = Chart.disk_patch(model, half_width=half_width, n=n)
+    ch = Chart.disk_patch(model, half_width=0.55, n=n)
     win = _patch_window(ch)
     xs = np.arange(ch.nx) * (ch.Lx / ch.nx)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -862,7 +860,7 @@ def fourier_product(u, v, s=1.0, t=1.0):
     if np.any(u.data[:Nu]) or np.any(v.data[:Nv]):
         raise ValueError("inputs must be holomorphic (modes k >= 0)")
     ch = u.chart
-    fine = ch.refine(2)
+    fine = ch.refine()
     U, V = (SMField.from_array(fine, ch.upsample(f.data)) for f in (u, v))
     N = Nu + Nv
     w = SMField(fine, n_modes=N)

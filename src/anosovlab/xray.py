@@ -40,11 +40,11 @@ def _bump_prime(t):
     return out
 
 
-def windowed_trig_mode(mn, r0=0.57, omega0=None):
-    """w(x,y) e^{i omega0 (m x + n y)} with w a radial bump supported in
+def windowed_trig_mode(mn, r0=0.57):
+    """w(x,y) e^{i (pi/r0) (m x + n y)} with w a radial bump supported in
     the euclidean disk of radius r0 (inside the octagon when r0 < 0.64)."""
     m, n = mn
-    om = omega0 if omega0 is not None else np.pi / r0
+    om = np.pi / r0
 
     def val(x, y):
         t = (x ** 2 + y ** 2) / r0 ** 2
@@ -74,7 +74,7 @@ def _conj_mode(mode):
                 (lambda x, y: np.conj(mode.dz(x, y))) if mode.dz else None)
 
 
-def trig_mode(grid, Lx, Ly, origin=(0.0, 0.0)):
+def trig_mode(grid, Lx, Ly):
     """Mode backed by a periodic grid: trigonometric-interpolant evaluation
     (exact for band-limited data on its chart)."""
     grid = np.asarray(grid, dtype=complex)
@@ -82,11 +82,10 @@ def trig_mode(grid, Lx, Ly, origin=(0.0, 0.0)):
     C = np.fft.fft2(grid) / (nx * ny)
     kx = TWO_PI * np.fft.fftfreq(nx, d=Lx / nx)
     ky = TWO_PI * np.fft.fftfreq(ny, d=Ly / ny)
-    x0, y0 = origin
 
     def _eval(coef, x, y):
-        x = np.asarray(x, dtype=float) - x0
-        y = np.asarray(y, dtype=float) - y0
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         Ex = np.exp(1j * np.multiply.outer(x, kx))       # (..., nx)
         Ey = np.exp(1j * np.multiply.outer(y, ky))       # (..., ny)
         return np.einsum("...m,mn,...n->...", Ex, coef, Ey)
@@ -117,13 +116,13 @@ class SymTensorField:
         self.label = label
 
     @classmethod
-    def from_smfield(cls, model, m, field, origin=(0.0, 0.0), label=""):
+    def from_smfield(cls, model, m, field, label=""):
         ch = field.chart
         modes = {}
         for k in range(-m, m + 1, 2):
             g = field.get(k)
             if np.any(g):
-                modes[k] = trig_mode(g, ch.Lx, ch.Ly, origin=origin)
+                modes[k] = trig_mode(g, ch.Lx, ch.Ly)
         return cls(model, m, modes, label=label)
 
     def eval(self, x, y, theta):
@@ -196,16 +195,11 @@ def solenoidal_check(A, chart):
     return float(np.sqrt(chart.norm2(r)))
 
 
-def _chart_nodes(chart, origin=None):
-    """Grid node coordinates of a chart; box charts are centered."""
-    if origin is None:
-        # disk-patch charts are centered on the origin by construction
-        x0 = -0.5 * chart.Lx
-        y0 = -0.5 * chart.Ly
-    else:
-        x0, y0 = origin
-    xs = x0 + np.arange(chart.nx) * (chart.Lx / chart.nx)
-    ys = y0 + np.arange(chart.ny) * (chart.Ly / chart.ny)
+def _chart_nodes(chart):
+    """Grid node coordinates of a chart, centered on the origin as
+    disk-patch charts are by construction."""
+    xs = -0.5 * chart.Lx + np.arange(chart.nx) * (chart.Lx / chart.nx)
+    ys = -0.5 * chart.Ly + np.arange(chart.ny) * (chart.Ly / chart.ny)
     return xs, ys
 
 
@@ -492,7 +486,7 @@ def _values_inner(fv, gv, chart):
 
 
 def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
-                            n_samples=1024, chart=None):
+                            n_samples=1024):
     """Numerical kernel of the ray transform on a mixed tensor basis.
 
     Builds G[gamma, j] = I_m(f_j)(gamma), takes its SVD, and reports how much
@@ -504,8 +498,7 @@ def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
     from .smfourier import Chart
 
     r0 = 0.57
-    if chart is None:
-        chart = Chart.disk_patch(model, half_width=0.6, n=64)
+    chart = Chart.disk_patch(model, half_width=0.6, n=64)
     if m == 0:
         basis = _nonpotential_basis(model, 0, n_basis, r0)
         kinds = ["free"] * n_basis

@@ -294,6 +294,38 @@ class TestConfigFuzz:
                       cli.EXIT_SOLVER)
 
 
+class TestRunArguments:
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        rc, out = _run(tmp_path, command, FUZZ_BASES[command], seed=-1)
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["taken", "taken/sub"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, sub):
+        (tmp_path / "taken").write_text("")
+        rc, out = _run(tmp_path, "terminator", FUZZ_BASES["terminator"],
+                       sub=sub)
+        assert rc == cli.EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("command", sorted(cli.CONFIG_KEYS))
+def test_readme_names_every_key(command):
+    # the command's bullet under "### Commands", up to the next bullet
+    text = README.read_text().split("### Commands")[1].strip()
+    section = "\n" + text.split("\n\n")[0]
+    bullets = {b.split("**")[0]: b for b in section.split("\n- **")[1:]}
+    missing = sorted(key for key in cli.CONFIG_KEYS[command] - {"surface"}
+                     if f"`{key}`" not in bullets[command])
+    assert not missing, f"README's {command} paragraph omits {missing}"
+
+
 class TestCommands:
     def test_terminator_sphere(self, tmp_path):
         rc, out = _run(tmp_path, "terminator", {"surface": SPHERE})
