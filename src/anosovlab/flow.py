@@ -170,7 +170,7 @@ def rk4_orbit(model, states, T, dt, record=True):
     return ts, traj
 
 
-def _rk4_ends(model, states, T, dt, record=False):
+def _rk4_ends(model, states, T, dt, record=False, windows=None):
     """End states of (n, 3) SM states, state i flowed over its own horizon
     T[i] at its own step dt[i] (``dt`` a scalar or one per row): n_i =
     max(1, round(T[i]/dt[i])) steps of h_i = T[i]/n_i, the same steps as
@@ -179,25 +179,80 @@ def _rk4_ends(model, states, T, dt, record=False):
 
     With ``record``, returns instead one trajectory per row, row i's of
     shape (n_i + 1, 3) and equal to ``rk4_orbit(model, states[i], T[i],
-    dt[i])[1]``."""
+    dt[i])[1]``.
+
+    ``windows``, an ``OrbitWindows``, rides along: its rows take as many of
+    the batch's steps as they still need, at their own step, as extra rows
+    of the same RK4 steps."""
     states = np.array(states, dtype=float)
     T = np.asarray(T, dtype=float)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), T.shape)
     n = np.array([_n_steps(t, d)[0] for t, d in zip(T, dt)])
     h = (T / n)[:, None]
+    m = len(states)
+    ride = 0 if windows is None else min(windows.left, n.max())
+    if ride:
+        states = np.vstack([states, windows.states])
+        h = np.vstack([h, np.full((len(windows.states), 1), windows.h)])
     if record:
-        traj = np.empty((n.max() + 1,) + states.shape)
-        traj[0] = states
-    ends = np.empty_like(states)
+        traj = np.empty((n.max() + 1, m, 3))
+        traj[0] = states[:m]
+    ends = np.empty((m, 3))
     for i in range(1, n.max() + 1):
         states = _rk4_step(model, states, h)
+        if i <= ride:
+            windows.take(states[m:])
+            if i == ride:
+                states, h = states[:m], h[:m]
         if record:
-            traj[i] = states
+            traj[i] = states[:m]
         done = n == i
-        ends[done] = states[done]
+        ends[done] = states[:m][done]
     if record:
         return [traj[:k + 1, j] for j, k in enumerate(n)]
     return ends
+
+
+class OrbitWindows:
+    """Orbit windows being stepped: fixed-step RK4 over [0, T] at dt from
+    (k, 3) SM starts, all states recorded -- the steps of
+    ``rk4_orbit(model, starts, T, dt)``.
+
+    The steps can be taken as extra rows of ``_rk4_ends`` batches (its
+    ``windows`` argument) and the rest alone by ``profiles``, in any mix:
+    each row steps at its own h from its own last state, so the states are
+    the same bits either way."""
+
+    def __init__(self, starts, T, dt):
+        starts = np.array(starts, dtype=float)
+        self.T = T
+        self.n, self.h = _n_steps(T, dt)
+        self.traj = np.empty((self.n + 1,) + starts.shape)
+        self.traj[0] = starts
+        self.i = 0          # steps taken
+
+    @property
+    def left(self):
+        return self.n - self.i
+
+    @property
+    def states(self):
+        return self.traj[self.i]
+
+    def take(self, states):
+        """Record the states the next step reaches."""
+        self.i += 1
+        self.traj[self.i] = states
+
+    def profiles(self, model):
+        """Take the steps still left, alone, then return the aperiodic
+        curvature profile along each window."""
+        while self.left:
+            self.take(_rk4_step(model, self.states, self.h))
+        K = _curvature_samples(model, self.traj.reshape(-1, 3))
+        K = np.ascontiguousarray(K.reshape(self.traj.shape[:-1]).T)
+        return [CurvatureProfile(k, self.h, periodic=False,
+                                 name=f"window:{self.T}") for k in K]
 
 
 def integrate_geodesic(model, start, T, dt=1e-3):
@@ -266,7 +321,8 @@ def _newton_search(u, tol, max_iter):
                        f"residual {np.max(np.abs(r)):.3e}")
 
 
-def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60):
+def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60,
+                          windows=None):
     """Closed geodesics of torus homotopy classes (p, q), by shooting plus a
     damped Newton iteration on the return map.  The start is anchored on the
     line x = 0 (y0 free) to remove the translation degeneracy along the
@@ -280,7 +336,11 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60):
     4 points of every live class in one ``_rk4_ends`` call, and a class
     leaves the batch once it converges or fails.  Each class makes the same
     iterates as a search on its own.  The converged orbits are then
-    recorded in one batched pass."""
+    recorded in one batched pass.
+
+    ``windows``, an ``OrbitWindows``, rides along in these ``_rk4_ends``
+    batches until it has taken all its steps; the shots do not depend on
+    it."""
     single = np.ndim(homotopy) == 1
     classes = [tuple(homotopy)] if single else [tuple(h) for h in homotopy]
     if (0, 0) in classes:
@@ -303,7 +363,8 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60):
         shots = [_shot_points(points[i]) for i in live]
         us = np.vstack([u4 for u4, _ in shots])
         ends = _rk4_ends(model, starts(us), us[:, 2],
-                         np.repeat([dts[i] for i in live], 4))
+                         np.repeat([dts[i] for i in live], 4),
+                         windows=windows)
         for k, (i, (u4, du)) in enumerate(zip(live, shots)):
             rJ = _return_map(ends[4 * k:4 * k + 4], u4, du, *shifts[i])
             try:
@@ -322,7 +383,8 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60):
         us = np.array([found[i] for i in done])
         T = us[:, 2]
         h = T / [max(256, int(round(t / dts[i]))) for i, t in zip(done, T)]
-        trajs = _rk4_ends(model, starts(us), T, h, record=True)
+        trajs = _rk4_ends(model, starts(us), T, h, record=True,
+                          windows=windows)
         for i, traj, t, hi in zip(done, trajs, T, h):
             samples = traj[:-1].copy()
             samples[:, 0], samples[:, 1] = model.wrap(samples[:, 0],
@@ -361,11 +423,7 @@ def curvature_profile_window(model, start, T_window, dt=5e-3):
     single = isinstance(start, UnitTangent) or np.ndim(start) == 1
     starts = np.atleast_2d(start.as_array() if isinstance(start, UnitTangent)
                            else start)
-    ts, traj = rk4_orbit(model, starts, T_window, dt)
-    K = _curvature_samples(model, traj.reshape(-1, 3))
-    K = np.ascontiguousarray(K.reshape(traj.shape[:-1]).T)
-    profiles = [CurvatureProfile(k, ts[1] - ts[0], periodic=False,
-                                 name=f"window:{T_window}") for k in K]
+    profiles = OrbitWindows(starts, T_window, dt).profiles(model)
     return profiles[0] if single else profiles
 
 

@@ -18,12 +18,17 @@ terminator value into [beta_target, 2).
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .flow import CurvatureProfile
 
 _HALF_PI = 0.5 * np.pi
 _C8 = np.pi / (2.0 * np.sqrt(2.0))   # the critical cap half-angle constant
+
+# The largest beta_target whose parameters double precision can hold to the
+# r2 relation: above it ``search_params`` shrinks b once more, to r1 ~ 1638,
+# where the rounding of r1 - r2 (~ulp(r1) = 2.3e-13) moves sinh(r1 - r2) by
+# ~cosh(r1 - r2) ulp(r1) = 3e-10, past the 1e-10 ``validate`` allows.  Every
+# target up to it takes at most 13 shrinks (r1 ~ 1146, residual <= 3.1e-11).
+BETA_TARGET_MAX = 1.9948915991154743
 
 
 @dataclass
@@ -62,16 +67,12 @@ class GulliverParams:
 
 
 def solve_r2(b, r1):
-    """Root of sinh(r1 - r2) = sin(b r1)/b on (0, r1)."""
+    """Root of sinh(r1 - r2) = sin(b r1)/b on (0, r1), in closed form:
+    r2 = r1 - asinh(sin(b r1)/b), which lies in (0, r1) because
+    0 < sin(b r1)/b < r1 < sinh r1."""
     if not (0.0 < b * r1 < _HALF_PI):
         raise ValueError("need 0 < b*r1 < pi/2")
-    target = np.sin(b * r1) / b
-
-    def f(r2):
-        return np.sinh(r1 - r2) - target
-
-    # f(0) = sinh r1 - sin(b r1)/b > 0 and f(r1) = -target < 0
-    return brentq(f, 0.0, r1, xtol=1e-14, rtol=8.9e-16)
+    return float(r1 - np.arcsinh(np.sin(b * r1) / b))
 
 
 def feasibility(params, beta):
@@ -107,9 +108,19 @@ def search_params(beta_target):
 
     hold, sets r1 = pi/(2 sqrt 2 b) + delta, eps = delta/2 (which forces
     b (r1 - eps) > pi/(2 sqrt 2), hence conjugate points before beta = 2),
-    and grows R until tanh(sqrt(beta) R') > 1/2."""
+    and grows R until tanh(sqrt(beta) R') > 1/2.
+
+    Targets above BETA_TARGET_MAX are rejected: double precision cannot
+    hold their parameters to the r2 relation."""
     if not (1.5 < beta_target < 2.0):
         raise ValueError("beta_target must lie in (3/2, 2)")
+    if beta_target > BETA_TARGET_MAX:
+        raise ValueError(
+            f"beta_target {float(beta_target)!r} is above "
+            f"{BETA_TARGET_MAX!r}, the largest that double precision can "
+            "represent: its cap needs "
+            "r1 > 1600, where the rounding of r1 - r2 breaks the relation "
+            "sinh(r1 - r2) = sin(b r1)/b by more than 1e-10")
     sb = np.sqrt(beta_target)
     b, delta = 0.1, 0.1
     for _ in range(200):

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -201,6 +204,15 @@ class TestConfigHandling:
     def test_gulliver_target_out_of_range(self, tmp_path):
         rc, _ = _run(tmp_path, "gulliver", {"beta_target": 2.7})
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("target", [1.995, 1.999])
+    def test_gulliver_target_above_the_representable_one(self, tmp_path,
+                                                         target):
+        # in (1.5, 2), but above the largest target double precision holds
+        # to the r2 relation
+        rc, out = _run(tmp_path, "gulliver", {"beta_target": target})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("target", [[1], "1.75", True])
     def test_gulliver_target_not_a_number(self, tmp_path, target):
@@ -461,6 +473,30 @@ class TestCommands:
         assert (out / "gulliver_params.json").exists()
         assert (out / "profile.csv").exists()
 
+    # verdict, bracket and trapping block of `anosov` on the README torus at
+    # its defaults, from a profile pool whose orbit windows were stepped
+    # apart from the shooting, by rk4_orbit
+    README_TORUS_VERDICTS = {
+        1: (0.001953125, 0.0029296875, 0.1508782866590017),
+        2: (0.0009765625, 0.001953125, 0.07640822093981563),
+        3: (0.0009765625, 0.001953125, 0.15126278676554905),
+        4: (0.001953125, 0.0029296875, 0.15351954291603795)}
+
+    @pytest.mark.parametrize("seed", sorted(README_TORUS_VERDICTS))
+    def test_anosov_readme_torus_verdict(self, tmp_path, seed):
+        surface = dict(CURVED, nx=64, ny=64)
+        rc, out = _run(tmp_path, "anosov", {"surface": surface}, seed=seed)
+        assert rc == cli.EXIT_OK
+        rep = json.loads((out / "anosov_verdict.json").read_text())
+        lo, hi, min_max = self.README_TORUS_VERDICTS[seed]
+        assert rep["verdict"] == "not-Anosov"
+        assert (rep["terminator"]["beta_lo"], rep["terminator"]["beta_hi"],
+                rep["terminator"]["exceeds_beta_max"]) == (lo, hi, False)
+        assert rep["trapping"] == {
+            "trapped_detected": False, "n_dir": 256, "T_window": 50.0,
+            "kappa_floor": 1e-4, "min_max_abs_K": min_max,
+            "note": "no trapping detected (finite test)"}
+
     def test_invariant_octagon(self, tmp_path):
         cfg = {"surface": OCTAGON, "n_modes": 6, "grid": 48}
         rc, out = _run(tmp_path, "invariant", cfg)
@@ -562,6 +598,43 @@ def _csv_writer_bytes(header, columns):
     w.writerow(header)
     w.writerows(zip(*columns))
     return buf.getvalue().encode()
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this anosovlab; returns
+    its standard output."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportFootprint:
+    """SciPy is imported where a command uses it, not by importing the
+    package: its import costs more than the rest of the package's."""
+
+    def test_importing_the_modules_loads_no_scipy(self):
+        out = _fresh_python(
+            "import sys\n"
+            "from anosovlab import (cli, geometry, flow, cocycle, gulliver,\n"
+            "                       xray, smfourier)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        assert out.strip() == "[]"
+
+    def test_gulliver_run_leaves_the_optimizer_unloaded(self, tmp_path):
+        cfg = _write(tmp_path, "gulliver.json", {"beta_target": 1.75})
+        out = _fresh_python(
+            "import sys\n"
+            "from anosovlab import cli\n"
+            f"rc = cli.main(['gulliver', '--config', {cfg!r}, '--out',\n"
+            f"               {str(tmp_path / 'out')!r}])\n"
+            "print(rc, 'scipy.optimize' in sys.modules)\n")
+        assert out.split() == [str(cli.EXIT_OK), "False"]
 
 
 class TestCsvWriter:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from anosovlab import cocycle, gulliver
+from anosovlab import cocycle, flow, gulliver
 from anosovlab.flow import CurvatureProfile
 from anosovlab.cocycle import (integrate_beta_jacobi, cocycle_matrix,
                                first_conjugate_time, jacobi_first_zero_batch,
@@ -341,6 +341,30 @@ class TestSampledOnce:
             first_conjugate_time(prof, 1.0, T_max=10.0)
         with pytest.raises(ValueError, match="half grid"):
             first_conjugate_time(prof, 1.0, T_max=20.0, K_half=K_half)
+
+
+class TestProfilePool:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_windows_in_the_shooting_equal_separate_calls(self, curved_torus,
+                                                          seed):
+        # the torus pool steps its orbit windows inside the shooting's RK4
+        # batches; apart, they are rk4_orbit over the same starts
+        pool = cocycle._profile_pool(curved_torus, seed=seed)
+        geos = flow.find_closed_geodesics(curved_torus,
+                                          ((1, 0), (0, 1), (1, 1)), tol=1e-9)
+        rng = np.random.default_rng(seed)
+        starts = np.array([[rng.uniform(0, curved_torus.Lx),
+                            rng.uniform(0, curved_torus.Ly),
+                            rng.uniform(0, 2 * np.pi)] for _ in range(4)])
+        ts, traj = flow.rk4_orbit(curved_torus, starts, 40.0, 5e-3)
+        ref = [(flow.curvature_profile_along(curved_torus, g).K_samples, g.dt)
+               for g in geos]
+        ref += [(flow._curvature_samples(curved_torus, traj[:, k]),
+                 ts[1] - ts[0]) for k in range(len(starts))]
+        assert len(pool) == len(ref) == 7
+        for prof, (K, dt) in zip(pool, ref):
+            assert np.array_equal(prof.K_samples, K)
+            assert prof.dt == dt
 
 
 class TestComparison:

@@ -83,6 +83,33 @@ class TestIntegrator:
             assert np.array_equal(traj, single)
             assert np.array_equal(end, single[-1])
 
+    @pytest.mark.parametrize("torus", ["curved_torus", "flat_torus"])
+    @pytest.mark.parametrize("T_window", [1.0, 3.0, 9.0])
+    def test_windows_riding_in_batches_equal_one_recorded_orbit(
+            self, torus, request, T_window):
+        # 100, 300 and 900 window steps of 1e-2: fewer than the first
+        # batch's 237; more, so the second batch of 150 drops the windows
+        # partway; and more than both, so the rest is stepped alone
+        model = request.getfixturevalue(torus)
+        starts = np.array([[0.3, 2.2, 1.9], [4.0, 0.7, 5.5]])
+        windows = flow.OrbitWindows(starts, T_window, 1e-2)
+        states = np.array([[0.4, 1.1, 0.3], [2.0, 4.5, 2.9]])
+        T, dt = np.array([2.37, 1.0]), np.array([1e-2, 7e-3])
+        ends = _rk4_ends(model, states, T, dt, windows=windows)
+        trajs = _rk4_ends(model, states, np.array([1.5, 1.5]), 1e-2,
+                          record=True, windows=windows)
+        assert np.array_equal(ends, _rk4_ends(model, states, T, dt))
+        for traj, s in zip(trajs, states):
+            assert np.array_equal(traj, rk4_orbit(model, s, 1.5, 1e-2)[1])
+        assert windows.i == min(windows.n, 237 + 150)
+        profiles = windows.profiles(model)
+        _, orbit = rk4_orbit(model, starts, T_window, 1e-2)
+        assert np.array_equal(windows.traj, orbit)
+        for k, prof in enumerate(profiles):
+            assert np.array_equal(
+                prof.K_samples, flow._curvature_samples(model, orbit[:, k]))
+            assert prof.dt == windows.h
+
     def test_octagon_generator_orbit_closes(self, octagon):
         geo = octagon.closed_geodesic_from_word([0])
         start = geo.start

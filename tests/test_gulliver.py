@@ -1,12 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anosovlab import gulliver
 from anosovlab.gulliver import (GulliverParams, solve_r2, feasibility,
                                 search_params, synth_profile)
 from anosovlab.cocycle import terminator_bisect
 
 _C8 = np.pi / (2.0 * np.sqrt(2.0))
+
+
+def _shrinks(k_max):
+    """The (b, r1) that search_params tries after 0 to k_max shrinks."""
+    b, delta, out = 0.1, 0.1, []
+    for _ in range(k_max + 1):
+        out.append((b, _C8 / b + delta))
+        b *= 0.7
+        delta *= 0.9
+    return out
 
 
 class TestSolveR2:
@@ -22,6 +35,28 @@ class TestSolveR2:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             solve_r2(1.0, 2.0)   # b*r1 > pi/2
+
+    @staticmethod
+    def _bisect_r2(b, r1):
+        """Root of sinh(r1 - r2) - sin(b r1)/b on [0, r1], bisected until
+        the bracket holds two adjacent doubles."""
+        target = np.sin(b * r1) / b
+        lo, hi = 0.0, r1          # the function is > 0 at lo and < 0 at hi
+        with np.errstate(over="ignore"):     # sinh(r1 - lo) may be inf
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                if np.sinh(r1 - mid) - target > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+        return lo, hi
+
+    @pytest.mark.parametrize("b, r1", _shrinks(13) + [
+        (0.3, 1.1), (0.02, 40.0), (1.4, 1e-3), (0.5, 3.1)])
+    def test_closed_form_matches_bisection(self, b, r1):
+        lo, hi = self._bisect_r2(b, r1)
+        r2 = solve_r2(b, r1)
+        ulp = np.spacing(r1)
+        assert lo - 4 * ulp <= r2 <= hi + 4 * ulp
 
 
 class TestSearchParams:
@@ -41,6 +76,23 @@ class TestSearchParams:
     def test_target_outside_range_raises(self, bad):
         with pytest.raises(ValueError):
             search_params(bad)
+
+    def test_no_overflow_warning_near_two(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            search_params(1.99).validate()
+
+    def test_largest_representable_target(self, monkeypatch):
+        top = gulliver.BETA_TARGET_MAX
+        search_params(top).validate()
+        above = np.nextafter(top, 2.0)
+        for bad in (above, 1.995, 1.999):
+            with pytest.raises(ValueError, match="double precision"):
+                search_params(bad)
+        # the bound is tight: the next double fails the r2 relation itself
+        monkeypatch.setattr(gulliver, "BETA_TARGET_MAX", 2.0)
+        with pytest.raises(ValueError, match="r2 relation violated"):
+            search_params(above)
 
     def test_validate_rejects_bad_params(self):
         p = search_params(1.75)
