@@ -80,6 +80,9 @@ def _load_config(path, command):
                 and val <= sys.float_info.max):
             kind = "nonnegative" if zero_ok else "positive"
             raise ConfigError(f"{key!r} must be a finite {kind} number")
+    # a threshold relative to the largest singular value
+    if not cfg.get("kernel_threshold", 0.0) < 1.0:
+        raise ConfigError("'kernel_threshold' must be less than 1")
     return cfg
 
 

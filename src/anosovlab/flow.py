@@ -431,8 +431,7 @@ def _curvature_samples(model, samples):
     """K at the positions of (n, 3) SM samples, in one vectorised call; the
     same values as ``model.curvature_at`` point by point."""
     if isinstance(model, ConformalTorus):
-        x, y = model.wrap(samples[:, 0], samples[:, 1])
-        return model._get_splines()["K"](x, y, grid=False)
+        return model.curvature(samples[:, 0], samples[:, 1])
     if isinstance(model, (ConstantCurvature, FuchsianOctagon)):
         return np.full(len(samples), float(model.curvature_at((0.0, 0.0))))
     raise TypeError(f"unsupported model {type(model).__name__}")

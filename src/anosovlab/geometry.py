@@ -127,8 +127,10 @@ class ConformalTorus:
     lam is stored on an nx x ny grid (indexing: lam[i, j] = lam(x_i, y_j));
     derivatives are spectral.  If analytic callables for lam and its gradient
     are supplied (expression-backed models) they are used for off-grid
-    evaluation, otherwise a periodic cubic-spline interpolant of the spectral
-    grids is used.
+    evaluation, otherwise the ``bicubic.PeriodicBicubic`` interpolant of
+    the spectral grids of lam, lam_x and lam_y is used.  Off-grid K is
+    always the ``PeriodicBicubic`` interpolant of the spectral K grid.  Each
+    interpolant is built on its first use.
     """
 
     variant = "ConformalTorus"
@@ -149,7 +151,7 @@ class ConformalTorus:
         self.lam_y_grid = np.real(np.fft.ifft2(1j * ky * F))
         lap = np.real(np.fft.ifft2(-(kx ** 2 + ky ** 2) * F))
         self.K_grid = -np.exp(-2.0 * lam_grid) * lap
-        self._splines = None
+        self._interpolants = {}
 
     @classmethod
     def from_expression(cls, expr, Lx, Ly, nx, ny):
@@ -186,24 +188,17 @@ class ConformalTorus:
 
     # -- interpolation ------------------------------------------------------
 
-    def _spline(self, grid):
-        from scipy.interpolate import RectBivariateSpline
+    def _interpolant(self, name):
+        """The PeriodicBicubic of "K" (K_grid) or "lam" (lam_grid,
+        lam_x_grid, lam_y_grid), built on first use."""
+        if name not in self._interpolants:
+            from .bicubic import PeriodicBicubic    # only a torus loads it
 
-        pad = 4
-        g = np.pad(grid, pad, mode="wrap")
-        xs = (np.arange(-pad, self.nx + pad)) * (self.Lx / self.nx)
-        ys = (np.arange(-pad, self.ny + pad)) * (self.Ly / self.ny)
-        return RectBivariateSpline(xs, ys, g, kx=3, ky=3)
-
-    def _get_splines(self):
-        if self._splines is None:
-            self._splines = {
-                "lam": self._spline(self.lam_grid),
-                "lam_x": self._spline(self.lam_x_grid),
-                "lam_y": self._spline(self.lam_y_grid),
-                "K": self._spline(self.K_grid),
-            }
-        return self._splines
+            grids = ([self.K_grid] if name == "K" else
+                     [self.lam_grid, self.lam_x_grid, self.lam_y_grid])
+            self._interpolants[name] = PeriodicBicubic(grids, self.Lx,
+                                                       self.Ly)
+        return self._interpolants[name]
 
     def wrap(self, x, y):
         return np.mod(x, self.Lx), np.mod(y, self.Ly)
@@ -214,15 +209,16 @@ class ConformalTorus:
             if not np.shape(x):
                 return tuple(float(v) for v in self._lam_fn(x, y))
             return _lam_values(self._lam_fn, x, y)
-        x, y = self.wrap(x, y)
-        sp = self._get_splines()
-        return (sp["lam"](x, y, grid=False), sp["lam_x"](x, y, grid=False),
-                sp["lam_y"](x, y, grid=False))
+        return tuple(self._interpolant("lam")(x, y))
+
+    def curvature(self, x, y):
+        """Gaussian curvature at arbitrary points (vectorized): the spectral
+        K grid interpolated."""
+        return self._interpolant("K")(x, y)[0]
 
     def curvature_at(self, p):
-        """Gaussian curvature at position p = (x, y); spectral K interpolated."""
-        x, y = self.wrap(p[0], p[1])
-        return float(self._get_splines()["K"](x, y, grid=False))
+        """Gaussian curvature at position p = (x, y)."""
+        return float(self.curvature(p[0], p[1]))
 
     # -- integrals ----------------------------------------------------------
 
@@ -508,7 +504,9 @@ class FuchsianOctagon:
 
 
 # the largest torus grid side a JSON spec may ask for: building the
-# surface holds ~130 B a grid point, 35 MB at 512 x 512
+# surface holds ~130 B a grid point, 35 MB at 512 x 512, and its
+# PeriodicBicubic tables 128 B a grid point and grid: 34 MB for K at 512,
+# 101 MB more for lam and its gradient on a grid-built torus
 MAX_TORUS_SIDE = 512
 
 

@@ -88,7 +88,9 @@ class TestConfigHandling:
         ("invariant", "reg", "abc"), ("invariant", "reg", -1e-12),
         ("invariant", "reg", float("nan")),
         ("xray", "kernel_threshold", -1), ("xray", "kernel_threshold", 0),
-        ("xray", "kernel_threshold", float("inf"))])
+        ("xray", "kernel_threshold", float("inf")),
+        ("xray", "kernel_threshold", 1.0),
+        ("xray", "kernel_threshold", 1e308)])
     def test_bad_float_key_rejected(self, tmp_path, command, key, val):
         rc, out = _run(tmp_path, command, {"surface": OCTAGON, key: val})
         assert rc == cli.EXIT_CONFIG
@@ -492,10 +494,29 @@ class TestCommands:
         assert rep["verdict"] == "not-Anosov"
         assert (rep["terminator"]["beta_lo"], rep["terminator"]["beta_hi"],
                 rep["terminator"]["exceeds_beta_max"]) == (lo, hi, False)
-        assert rep["trapping"] == {
+        # min_max_abs_K was written by the FITPACK spline that the numpy
+        # bicubic table reproduces to rounding
+        trapping = rep["trapping"]
+        assert trapping.pop("min_max_abs_K") == pytest.approx(min_max,
+                                                              rel=1e-12)
+        assert trapping == {
             "trapped_detected": False, "n_dir": 256, "T_window": 50.0,
-            "kappa_floor": 1e-4, "min_max_abs_K": min_max,
+            "kappa_floor": 1e-4,
             "note": "no trapping detected (finite test)"}
+
+    def test_terminator_grid_built_torus(self, tmp_path):
+        # lam = 0.1 cos x sin y sampled on a 16 x 16 grid: the flow and K
+        # both read the bicubic interpolant of the spectral grids
+        n = 16
+        X, Y = np.meshgrid(np.arange(n) * (2 * np.pi / n),
+                           np.arange(n) * (2 * np.pi / n), indexing="ij")
+        surface = {"type": "conformal_torus",
+                   "lambda": (0.1 * np.cos(X) * np.sin(Y)).tolist()}
+        rc, out = _run(tmp_path, "terminator", {"surface": surface})
+        assert rc == cli.EXIT_OK
+        cert = json.loads((out / "terminator_certificate.json").read_text())
+        assert (cert["beta_lo"], cert["beta_hi"], cert["exceeds_beta_max"]) \
+            == (0.0009765625, 0.001953125, False)
 
     def test_invariant_octagon(self, tmp_path):
         cfg = {"surface": OCTAGON, "n_modes": 6, "grid": 48}
@@ -626,6 +647,15 @@ class TestImportFootprint:
             "             if m == 'scipy' or m.startswith('scipy.')))\n")
         assert out.strip() == "[]"
 
+    def test_importing_the_modules_leaves_the_torus_interpolant_unloaded(
+            self):
+        out = _fresh_python(
+            "import sys\n"
+            "from anosovlab import (cli, geometry, flow, cocycle, gulliver,\n"
+            "                       xray, smfourier)\n"
+            "print('anosovlab.bicubic' in sys.modules)\n")
+        assert out.strip() == "False"
+
     def test_gulliver_run_leaves_the_optimizer_unloaded(self, tmp_path):
         cfg = _write(tmp_path, "gulliver.json", {"beta_target": 1.75})
         out = _fresh_python(
@@ -635,6 +665,20 @@ class TestImportFootprint:
             f"               {str(tmp_path / 'out')!r}])\n"
             "print(rc, 'scipy.optimize' in sys.modules)\n")
         assert out.split() == [str(cli.EXIT_OK), "False"]
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("anosov", {"surface": CURVED, "beta_max": 0.0625, "tol": 0.0625}),
+        ("terminator", {"surface": dict(CURVED, nx=16, ny=16)})])
+    def test_torus_run_loads_no_scipy(self, tmp_path, command, cfg):
+        path = _write(tmp_path, f"{command}.json", cfg)
+        out = _fresh_python(
+            "import sys\n"
+            "from anosovlab import cli\n"
+            f"rc = cli.main([{command!r}, '--config', {path!r}, '--out',\n"
+            f"               {str(tmp_path / 'out')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules\n"
+            "                 if m == 'scipy' or m.startswith('scipy.')))\n")
+        assert out.strip().split(maxsplit=1) == [str(cli.EXIT_OK), "[]"]
 
 
 class TestCsvWriter:

@@ -402,7 +402,8 @@ class TestStreamedSurrogate:
         assert rep == ref and rep["trapped_detected"]
 
     def test_memory_does_not_grow_with_the_window(self, curved_torus):
-        # the splines are built on first use; build them before measuring
+        # the curvature table is built on first use; build it before
+        # measuring
         trapping_surrogate(curved_torus, n_dir=2, T_window=1.0)
         peaks = []
         for T_window in (50.0, 200.0):

@@ -96,6 +96,116 @@ class TestConformalTorus:
         assert np.isclose(x, 0.5) and np.isclose(y, TWO_PI - 0.25)
 
 
+def _fitpack_spline(torus, grid):
+    """FITPACK's not-a-knot bicubic spline of a torus grid padded by 4 cells
+    with wrap-around: the interpolant PeriodicBicubic reproduces."""
+    from scipy.interpolate import RectBivariateSpline
+
+    pad = 4
+    g = np.pad(grid, pad, mode="wrap")
+    xs = np.arange(-pad, torus.nx + pad) * (torus.Lx / torus.nx)
+    ys = np.arange(-pad, torus.ny + pad) * (torus.Ly / torus.ny)
+    return RectBivariateSpline(xs, ys, g, kx=3, ky=3)
+
+
+def _grid_torus(n=16, Lx=TWO_PI, Ly=TWO_PI):
+    """A grid-built torus: lam = 0.1 cos x sin y sampled on an n x n grid."""
+    X, Y = np.meshgrid(np.arange(n) * (Lx / n), np.arange(n) * (Ly / n),
+                       indexing="ij")
+    return ConformalTorus(0.1 * np.cos(X) * np.sin(Y), Lx, Ly)
+
+
+def _interpolant_points(torus, n_random=100_000):
+    """Random points over three periods, the nodes (the last row and
+    column exactly on Lx and Ly), and points that wrap to exactly Lx or Ly
+    or to just below 0."""
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-torus.Lx, 2 * torus.Lx, n_random)
+    y = rng.uniform(-torus.Ly, 2 * torus.Ly, n_random)
+    nx, ny = np.meshgrid(np.arange(torus.nx + 1) * (torus.Lx / torus.nx),
+                         np.arange(torus.ny + 1) * (torus.Ly / torus.ny),
+                         indexing="ij")
+    ex = np.array([torus.Lx, -1e-20, -1e-300, -0.0, 0.5, 0.5, -1e-20])
+    ey = np.array([0.5, 0.5, 1.0, -1e-20, torus.Ly, -1e-300, -1e-20])
+    x, y = (np.concatenate(a) for a in ((x, nx.ravel(), ex),
+                                        (y, ny.ravel(), ey)))
+    # np.mod sends a tiny negative to exactly L: the last tabled cell
+    assert np.mod(-1e-20, torus.Lx) == torus.Lx
+    return x, y
+
+
+class TestPeriodicBicubic:
+    """The torus interpolant against the FITPACK spline it replaced."""
+
+    def test_readme_torus_curvature(self, curved_torus):
+        x, y = _interpolant_points(curved_torus)
+        ref = _fitpack_spline(curved_torus, curved_torus.K_grid)(
+            *curved_torus.wrap(x, y), grid=False)
+        err = np.max(np.abs(curved_torus.curvature(x, y) - ref))
+        assert err <= 1e-14 * np.max(np.abs(curved_torus.K_grid))
+
+    @pytest.mark.parametrize("shape", [(16, TWO_PI, TWO_PI), (12, 3.0, 5.0)])
+    def test_grid_torus_all_four_grids(self, shape):
+        torus = _grid_torus(*shape)
+        x, y = _interpolant_points(torus)
+        got = torus.lam_and_grad(x, y) + (torus.curvature(x, y),)
+        grids = (torus.lam_grid, torus.lam_x_grid, torus.lam_y_grid,
+                 torus.K_grid)
+        for g, v in zip(grids, got):
+            ref = _fitpack_spline(torus, g)(*torus.wrap(x, y), grid=False)
+            assert v.shape == x.shape
+            assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(g))
+
+    def test_nodes_reproduce_the_grid(self):
+        torus = _grid_torus()
+        X, Y = np.meshgrid(np.arange(16) * (TWO_PI / 16),
+                           np.arange(16) * (TWO_PI / 16), indexing="ij")
+        for v, g in zip(torus.lam_and_grad(X, Y),
+                        (torus.lam_grid, torus.lam_x_grid, torus.lam_y_grid)):
+            assert v.shape == (16, 16)
+            assert np.max(np.abs(v - g)) <= 1e-14 * np.max(np.abs(g))
+
+    def test_non_finite_positions_give_nan(self):
+        torus = _grid_torus()
+        x = np.array([np.nan, np.inf, -np.inf, 1.0, 1.0, 1.0, 2.0])
+        y = np.array([1.0, 1.0, 1.0, np.nan, np.inf, -np.inf, 2.0])
+        with np.errstate(invalid="ignore"):      # np.mod of an infinity
+            got = torus.lam_and_grad(x, y) + (torus.curvature(x, y),)
+            ref = _fitpack_spline(torus, torus.K_grid)(
+                *torus.wrap(x, y), grid=False)
+            scalar = torus.curvature_at((np.nan, 1.0))
+        assert np.isnan(ref[:6]).all()
+        for v in got:
+            assert np.isnan(v[:6]).all() and np.isfinite(v[6])
+        assert np.isnan(scalar)
+
+    def test_scalar_equals_batch_bit_for_bit(self, curved_torus):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 7.0, 2000)
+        y = rng.uniform(-1.0, 7.0, 2000)
+        batch = curved_torus.curvature(x, y)
+        assert np.array_equal(
+            batch, [curved_torus.curvature_at((a, b)) for a, b in zip(x, y)])
+        torus = _grid_torus()
+        batch = np.array(torus.lam_and_grad(x, y))
+        single = [torus.lam_and_grad(a, b) for a, b in zip(x, y)]
+        assert np.array_equal(batch.T, np.array(single, dtype=float))
+
+    def test_tables_are_built_on_first_use(self):
+        # building the surface builds no table; an expression torus reads
+        # lam from its expression, so it only ever builds the K table
+        torus = ConformalTorus.from_expression("0.1*cos(x)*sin(y)",
+                                               TWO_PI, TWO_PI, 16, 16)
+        assert torus._interpolants == {}
+        torus.lam_and_grad(np.array([0.5]), np.array([0.5]))
+        torus.curvature_at((0.5, 0.5))
+        assert set(torus._interpolants) == {"K"}
+        grid = _grid_torus()
+        assert grid._interpolants == {}
+        grid.lam_and_grad(0.5, 0.5)
+        assert set(grid._interpolants) == {"lam"}
+
+
 # ----------------------------------------------------------------------------
 # disk model helpers
 
