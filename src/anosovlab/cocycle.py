@@ -189,6 +189,26 @@ def _hermite_root(t, h, y0, v0, y1, v1):
     return t + h * float(np.min(np.clip(cands, 0.0, 1.0)))
 
 
+def _chunk_zeros(t0, h, i0, Y, V):
+    """Where y vanishes in a chunk of ``_jacobi_chunks`` starting at step
+    i0 of the grid t0 + i h.  Returns the (m, L) mask of the steps over
+    which y changes sign or lands exactly on 0, and zero_time(r, j), the
+    zero on step j of row r: the step's end where y lands exactly on 0,
+    else a cubic-Hermite root on the step."""
+    y, y1 = Y[:, :-1], Y[:, 1:]
+    exact = y1 == 0.0
+    # signs, not y * y1 < 0: the product of two tiny values underflows
+    hit = exact | (np.sign(y) * np.sign(y1) < 0.0)
+
+    def zero_time(r, j):
+        i = i0 + j
+        if exact[r, j]:
+            return t0 + (i + 1) * h
+        return _hermite_root(t0 + i * h, h, Y[r, j], V[r, j], Y[r, j + 1],
+                             V[r, j + 1])
+    return hit, zero_time
+
+
 def jacobi_first_zero_batch(K_half, betas, h):
     """Conjugate-point detection for a batch of problems.
 
@@ -202,20 +222,11 @@ def jacobi_first_zero_batch(K_half, betas, h):
     found = np.zeros(m, dtype=bool)
     for i0, Y, V, _ in _jacobi_chunks(K_half, betas, h, np.zeros(m),
                                       np.ones(m)):
-        y, y1 = Y[:, :-1], Y[:, 1:]
-        zero = y1 == 0.0
-        # signs, not y * y1 < 0: the product of two tiny values underflows
-        hit = zero | (np.sign(y) * np.sign(y1) < 0.0)
+        hit, zero_time = _chunk_zeros(0.0, h, i0, Y, V)
         if i0 == 0:
             hit[:, 0] = False
         for r in np.flatnonzero(hit.any(axis=1) & ~found):
-            j = int(np.argmax(hit[r]))
-            i = i0 + j
-            if zero[r, j]:
-                out[r] = (i + 1) * h
-            else:
-                out[r] = _hermite_root(i * h, h, Y[r, j], V[r, j],
-                                       Y[r, j + 1], V[r, j + 1])
+            out[r] = zero_time(r, int(np.argmax(hit[r])))
             found[r] = True
         if found.all():
             break
@@ -279,14 +290,9 @@ def riccati_integrate(profile, beta, t0, t1, r0, dt=1e-2, raise_on_pole=True):
         # r = V/Y: the chunk scale 2**-E cancels
         rs[i0:i0 + len(y)] = np.where(
             zero, np.copysign(1e300, h), v / np.where(zero, 1.0, y))
-        # signs, not y * y1 < 0: the product of two tiny values underflows
-        hit = zero[1:] | (np.sign(y[:-1]) * np.sign(y[1:]) < 0.0)
-        for j in np.flatnonzero(hit):
-            if zero[j + 1]:
-                tpole = ts[i0 + j + 1]
-            else:
-                tpole = _hermite_root(ts[i0 + j], h, y[j], v[j], y[j + 1],
-                                      v[j + 1])
+        hit, zero_time = _chunk_zeros(t0, h, i0, Y, V)
+        for j in np.flatnonzero(hit[0]):
+            tpole = zero_time(0, j)
             if raise_on_pole:
                 raise ConjugatePointError(tpole)
             poles.append(tpole)

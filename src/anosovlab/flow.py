@@ -16,7 +16,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .geometry import (ClosedGeodesic, ConformalTorus, ConstantCurvature,
-                       FuchsianOctagon, UnitTangent, TWO_PI)
+                       FuchsianOctagon, UnitTangent, TWO_PI, grid_nodes)
 
 
 @dataclass
@@ -66,7 +66,7 @@ class CurvatureProfile:
     @classmethod
     def from_function(cls, fn, T, dt=0.05, periodic=True, name=""):
         n = max(4, int(round(T / dt)))
-        ts = np.arange(n) * (T / n)
+        ts = grid_nodes(0.0, n, T)
         return cls(np.asarray(fn(ts), dtype=float), T / n, periodic=periodic,
                    K_fn=fn, name=name)
 
@@ -151,31 +151,21 @@ def _rk4_states(model, states, T, dt):
         yield states
 
 
-def rk4_orbit(model, states, T, dt, record=True):
-    """Fixed-step RK4 over [0, T] for a batch of SM states (shape (..., 3)).
-
-    Returns (ts, trajectory) with trajectory shape (n_steps+1, ..., 3) when
-    ``record``, else just the final states."""
-    n, h = _n_steps(T, dt)
-    states = np.array(states, dtype=float)
-    orbit = _rk4_states(model, states, T, dt)
-    ts = np.arange(n + 1) * h
-    if not record:
-        for states in orbit:
-            pass
-        return ts[-1], states
-    traj = np.empty((n + 1,) + states.shape)
-    for i, states in enumerate(orbit):
-        traj[i] = states
-    return ts, traj
+def rk4_orbit(model, states, T, dt):
+    """Fixed-step RK4 over [0, T] for a batch of SM states (shape (..., 3)):
+    a finished ``OrbitWindows``.  Returns (ts, trajectory), the trajectory
+    of shape (n_steps+1, ..., 3)."""
+    orbit = OrbitWindows(states, T, dt)
+    orbit.finish(model)
+    return np.arange(orbit.n + 1) * orbit.h, orbit.traj
 
 
 def _rk4_ends(model, states, T, dt, record=False, windows=None):
     """End states of (n, 3) SM states, state i flowed over its own horizon
     T[i] at its own step dt[i] (``dt`` a scalar or one per row): n_i =
     max(1, round(T[i]/dt[i])) steps of h_i = T[i]/n_i, the same steps as
-    ``rk4_orbit(model, states[i], T[i], dt[i], record=False)``.  All rows
-    step together up to max n_i; row i is read off after step n_i.
+    ``rk4_orbit(model, states[i], T[i], dt[i])``.  All rows step together up
+    to max n_i; row i is read off after step n_i.
 
     With ``record``, returns instead one trajectory per row, row i's of
     shape (n_i + 1, 3) and equal to ``rk4_orbit(model, states[i], T[i],
@@ -215,11 +205,10 @@ def _rk4_ends(model, states, T, dt, record=False, windows=None):
 
 class OrbitWindows:
     """Orbit windows being stepped: fixed-step RK4 over [0, T] at dt from
-    (k, 3) SM starts, all states recorded -- the steps of
-    ``rk4_orbit(model, starts, T, dt)``.
+    SM starts (shape (..., 3)), all states recorded.
 
     The steps can be taken as extra rows of ``_rk4_ends`` batches (its
-    ``windows`` argument) and the rest alone by ``profiles``, in any mix:
+    ``windows`` argument) and the rest alone by ``finish``, in any mix:
     each row steps at its own h from its own last state, so the states are
     the same bits either way."""
 
@@ -244,11 +233,15 @@ class OrbitWindows:
         self.i += 1
         self.traj[self.i] = states
 
-    def profiles(self, model):
-        """Take the steps still left, alone, then return the aperiodic
-        curvature profile along each window."""
+    def finish(self, model):
+        """Take the steps still left, alone."""
         while self.left:
             self.take(_rk4_step(model, self.states, self.h))
+
+    def profiles(self, model):
+        """Finish, then return the aperiodic curvature profile along each
+        of the (k, 3) starts' windows."""
+        self.finish(model)
         K = _curvature_samples(model, self.traj.reshape(-1, 3))
         K = np.ascontiguousarray(K.reshape(self.traj.shape[:-1]).T)
         return [CurvatureProfile(k, self.h, periodic=False,

@@ -85,8 +85,29 @@ def disk_distance0(z):
 # conformal torus
 
 
-def _spectral_wavenumbers(n, L):
-    return TWO_PI * np.fft.fftfreq(n, d=L / n)
+def grid_nodes(start, n, L):
+    """The n node coordinates start + i L/n of a periodic grid of side L."""
+    return start + np.arange(n) * (L / n)
+
+
+def wavenumbers(shape, Lx, Ly):
+    """The angular wavenumbers 2 pi fftfreq of a periodic grid of the given
+    shape on a Lx x Ly box: a column for x and a row for y."""
+    kx, ky = (TWO_PI * np.fft.fftfreq(n, d=L / n)
+              for n, L in zip(shape, (Lx, Ly)))
+    return kx[:, None], ky[None, :]
+
+
+def spectral_calculus(lam, Lx, Ly):
+    """(lam_x, lam_y, K) of a periodic lam grid on a Lx x Ly box, spectrally:
+    the gradient and the Gaussian curvature K = -e^{-2 lam} (lam_xx +
+    lam_yy) of the metric e^{2 lam}(dx^2 + dy^2)."""
+    kx, ky = wavenumbers(lam.shape, Lx, Ly)
+    F = np.fft.fft2(lam)
+    lam_x = np.real(np.fft.ifft2(1j * kx * F))
+    lam_y = np.real(np.fft.ifft2(1j * ky * F))
+    lap = np.real(np.fft.ifft2(-(kx ** 2 + ky ** 2) * F))
+    return lam_x, lam_y, -np.exp(-2.0 * lam) * lap
 
 
 def resample(f, shape):
@@ -144,13 +165,8 @@ class ConformalTorus:
         self.Lx, self.Ly = float(Lx), float(Ly)
         self._lam_fn = lam_fn  # (x, y) -> [lam, lam_x, lam_y], or None
 
-        kx = _spectral_wavenumbers(self.nx, self.Lx)[:, None]
-        ky = _spectral_wavenumbers(self.ny, self.Ly)[None, :]
-        F = np.fft.fft2(lam_grid)
-        self.lam_x_grid = np.real(np.fft.ifft2(1j * kx * F))
-        self.lam_y_grid = np.real(np.fft.ifft2(1j * ky * F))
-        lap = np.real(np.fft.ifft2(-(kx ** 2 + ky ** 2) * F))
-        self.K_grid = -np.exp(-2.0 * lam_grid) * lap
+        self.lam_x_grid, self.lam_y_grid, self.K_grid = spectral_calculus(
+            lam_grid, self.Lx, self.Ly)
         self._interpolants = {}
 
     @classmethod
@@ -168,8 +184,7 @@ class ConformalTorus:
                              f"y: {sorted(map(str, other))}")
         fn = sp.lambdify((x, y), [lam, sp.diff(lam, x), sp.diff(lam, y)],
                          "numpy")
-        xs = np.arange(nx) * (Lx / nx)
-        ys = np.arange(ny) * (Ly / ny)
+        xs, ys = grid_nodes(0.0, nx, Lx), grid_nodes(0.0, ny, Ly)
         with np.errstate(all="ignore"):     # non-finite values fail below
             for name, a, b in (("x", (0.0 * ys, ys), (Lx + 0.0 * ys, ys)),
                                ("y", (xs, 0.0 * xs), (xs, Ly + 0.0 * xs))):
@@ -466,7 +481,7 @@ class FuchsianOctagon:
             return None
         T = 2.0 * np.arccosh(tr / 2.0)
         z0, theta0 = self.axis_of(M)
-        ts = np.arange(n_samples) * (T / n_samples)
+        ts = grid_nodes(0.0, n_samples, T)
         zr, thr, _ = self.reduce_batch(*self.geodesic_point(z0, theta0, ts))
         samples = np.column_stack([zr.real, zr.imag, thr])
         return ClosedGeodesic(model=self, period=T, samples=samples,

@@ -19,41 +19,38 @@ import os
 
 import numpy as np
 
-from .geometry import ConstantCurvature, FuchsianOctagon, TWO_PI, resample
+from .geometry import (ConstantCurvature, FuchsianOctagon, TWO_PI, grid_nodes,
+                       resample, spectral_calculus, wavenumbers)
 
 
 class Chart:
-    """Periodic conformal chart: lam on an n x n grid with spectral calculus.
+    """Periodic conformal chart: lam on an nx x ny grid with spectral
+    calculus.
 
-    ``grads``/``K`` may be supplied analytically (needed when lam itself is
-    not periodic on the box, e.g. a disk patch); otherwise they are computed
-    spectrally from the lam grid.
+    ``calculus`` = (lam_x, lam_y, K) may be supplied, K as a grid or a
+    constant: analytically where lam itself is not periodic on the box (a
+    disk patch), or as a torus already holds it; otherwise it is computed
+    spectrally from the lam grid (``geometry.spectral_calculus``).
     """
 
-    def __init__(self, lam_grid, Lx, Ly, grads=None, K=None):
+    patch = None    # (model, half_width) of a disk patch
+
+    def __init__(self, lam_grid, Lx, Ly, calculus=None):
         self.lam = np.asarray(lam_grid, dtype=float)
         self.nx, self.ny = self.lam.shape
         self.Lx, self.Ly = float(Lx), float(Ly)
-        kx = TWO_PI * np.fft.fftfreq(self.nx, d=self.Lx / self.nx)
-        ky = TWO_PI * np.fft.fftfreq(self.ny, d=self.Ly / self.ny)
-        self._ikx = 1j * kx[:, None]
-        self._iky = 1j * ky[None, :]
-        # symbols of dz and dbar: the spectral parts of eta_+ and eta_-
-        self.eta_symbol = 0.5 * np.stack([self._ikx - 1j * self._iky,
-                                          self._ikx + 1j * self._iky])[:, None]
-        if grads is None:
-            F = np.fft.fft2(self.lam)
-            lam_x = np.real(np.fft.ifft2(self._ikx * F))
-            lam_y = np.real(np.fft.ifft2(self._iky * F))
-        else:
-            lam_x, lam_y = grads
+        # wavenumbers, a column and a row, and the symbols of dz and dbar:
+        # the spectral parts of eta_+ and eta_-
+        self.kx, self.ky = wavenumbers(self.lam.shape, self.Lx, self.Ly)
+        ikx, iky = 1j * self.kx, 1j * self.ky
+        self.eta_symbol = 0.5 * np.stack([ikx - 1j * iky,
+                                          ikx + 1j * iky])[:, None]
+        if calculus is None:
+            calculus = spectral_calculus(self.lam, self.Lx, self.Ly)
+        lam_x, lam_y, K = calculus
         self.lam_x, self.lam_y = lam_x, lam_y
         self.dz_lam = 0.5 * (lam_x - 1j * lam_y)
         self.dbar_lam = 0.5 * (lam_x + 1j * lam_y)
-        if K is None:
-            F = np.fft.fft2(self.lam)
-            lap = np.real(np.fft.ifft2((self._ikx ** 2 + self._iky ** 2) * F))
-            K = -np.exp(-2.0 * self.lam) * lap
         self.K = np.asarray(K, dtype=float) if np.ndim(K) else np.full_like(self.lam, float(K))
         self.emlam = np.exp(-self.lam)
         cell = (self.Lx / self.nx) * (self.Ly / self.ny)
@@ -65,7 +62,8 @@ class Chart:
         """The torus on an n x n grid, resampled unless that is the model's
         own grid (n None keeps the model's grid, square or not)."""
         if n is None or (n, n) == (model.nx, model.ny):
-            return cls(model.lam_grid, model.Lx, model.Ly)
+            return cls(model.lam_grid, model.Lx, model.Ly,
+                       (model.lam_x_grid, model.lam_y_grid, model.K_grid))
         return cls(model.resample(n), model.Lx, model.Ly)
 
     @classmethod
@@ -82,13 +80,21 @@ class Chart:
             raise ValueError("box corners leave the model's chart domain; "
                              f"need half_width < {lim / np.sqrt(2.0):.4f}")
         L = 2.0 * half_width
-        xs = -half_width + np.arange(n) * (L / n)
+        xs = grid_nodes(-half_width, n, L)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
-        lam, lam_x, lam_y = model.lam_and_grad(X, Y)
-        K = model.curvature_at((0.0, 0.0))
-        return cls(np.broadcast_to(lam, X.shape).copy(), L, L,
-                   grads=(np.broadcast_to(lam_x, X.shape).copy(),
-                          np.broadcast_to(lam_y, X.shape).copy()), K=K)
+        lam, lam_x, lam_y = (np.broadcast_to(a, X.shape).copy()
+                             for a in model.lam_and_grad(X, Y))
+        chart = cls(lam, L, L, (lam_x, lam_y, model.curvature_at((0.0, 0.0))))
+        chart.patch = (model, half_width)
+        return chart
+
+    def mesh(self, start):
+        """(X, Y), the node coordinates of the grid, each axis starting at
+        ``start`` times its side: -0.5 centres the box on the origin, as a
+        disk patch is, and 0 starts it there."""
+        return np.meshgrid(grid_nodes(start * self.Lx, self.nx, self.Lx),
+                           grid_nodes(start * self.Ly, self.ny, self.Ly),
+                           indexing="ij")
 
     # -- inner products and refinement -------------------------------------
 
@@ -100,7 +106,12 @@ class Chart:
         return np.sum(self.w * np.abs(f) ** 2, axis=(-2, -1))
 
     def refine(self):
-        """Chart at the 2x-refined grid by trigonometric interpolation."""
+        """Chart at the 2x-refined grid: a disk patch is built again
+        analytically (its lam is not periodic on the box), any other chart
+        by trigonometric interpolation of lam."""
+        if self.patch is not None:
+            model, half_width = self.patch
+            return Chart.disk_patch(model, half_width, 2 * self.nx)
         shape = (self.nx * 2, self.ny * 2)
         return Chart(resample(self.lam, shape), self.Lx, self.Ly)
 
@@ -355,10 +366,8 @@ def bump(t):
 def _patch_window(ch):
     """Smooth radial bump on a box chart, vanishing with all derivatives at
     radius min(0.95 half-width, 0.62), inside the octagon's incircle."""
-    hw = 0.5 * ch.Lx
-    r0 = min(0.95 * hw, 0.62)
-    xs = -hw + np.arange(ch.nx) * (ch.Lx / ch.nx)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    r0 = min(0.95 * (0.5 * ch.Lx), 0.62)
+    X, Y = ch.mesh(-0.5)
     return bump((X ** 2 + Y ** 2) / r0 ** 2)
 
 
@@ -368,8 +377,7 @@ def octagon_mode0_field(model, rng=None, spatial_band=2, n=48):
     rng = rng or np.random.default_rng()
     ch = Chart.disk_patch(model, half_width=0.55, n=n)
     win = _patch_window(ch)
-    xs = np.arange(ch.nx) * (ch.Lx / ch.nx)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    X, Y = ch.mesh(0.0)
     f0 = np.zeros_like(win, dtype=complex)
     for m in range(-spatial_band, spatial_band + 1):
         for nn in range(-spatial_band, spatial_band + 1):
@@ -384,9 +392,7 @@ def _alpha_gep_on_chart(ch, n_modes, spatial_band, window=None):
     b_i = h_s e^{ik theta}, k outer, plane wave h_s inner.  X b_i is eta_+ h_s
     on mode k+1 and eta_- h_s on mode k-1; two sides meet where their modes
     agree."""
-    xs = np.arange(ch.nx) * (ch.Lx / ch.nx)
-    ys = np.arange(ch.ny) * (ch.Ly / ch.ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = ch.mesh(0.0)
     H = np.array([np.exp(1j * (m * TWO_PI * X / ch.Lx + n * TWO_PI * Y / ch.Ly))
                   for m in range(-spatial_band, spatial_band + 1)
                   for n in range(-spatial_band, spatial_band + 1)])
@@ -411,7 +417,7 @@ def alpha_lower_bound_profile(profile, n_freq=48):
     diagonal, the K term is the Toeplitz matrix of K's Fourier coefficients."""
     T = profile.T
     ngrid = 8 * n_freq
-    ts = np.arange(ngrid) * (T / ngrid)
+    ts = grid_nodes(0.0, ngrid, T)
     Khat = np.fft.fft(profile(ts)) / ngrid
     js = np.arange(-n_freq, n_freq + 1)
     om = TWO_PI * js / T
@@ -485,32 +491,27 @@ LSQR_ATOL = 1e-8
 class _LadderOperator:
     """Exact-adjoint discretization of h -> A h in whitened coordinates.
 
-    A = X V^V_power from the modes ``in_ks`` to the modes ``out_ks``, with
-    the outputs |k| < ``T_floor`` projected out: P* = XV, Q* = XVT, and plain
-    X with prescribed-mode holes for invariant_extension.  Fields are
+    A = X V^V_power from the modes ``in_ks`` to the modes ``out_ks``: P* =
+    XV and Q* = XVT (T by leaving the modes |k| <= m out of ``out_ks``), and
+    plain X with prescribed-mode holes for invariant_extension.  Fields are
     (len(ks), nx, ny) stacks, flattened for ``matvec``/``rmatvec``; the
     forward map is the eta kernel between whitenings, and a missing
-    neighbour (a hole in the band, or an output below ``T_floor``) reads the
-    zero row appended to the gathered stack.
+    neighbour (a hole in the band) reads the zero row appended to the
+    gathered stack.
     """
 
-    def __init__(self, chart, in_ks, out_ks, V_power=1, T_floor=None):
+    def __init__(self, chart, in_ks, out_ks, V_power=1):
         self.ch = chart
         self.in_ks = list(in_ks)
         self.out_ks = list(out_ks)
         self.V_power = V_power
-        self.T_floor = T_floor
         ngrid = chart.nx * chart.ny
         self.shape = (len(self.out_ks) * ngrid, len(self.in_ks) * ngrid)
         ks_out = np.array(self.out_ks)
         self._fwd_nbr = _ladder_nbr(self.in_ks, self.out_ks)
-        read = self.out_ks          # the outputs that read their neighbours
-        if self.T_floor is not None:
-            self._fwd_nbr[:, np.abs(ks_out) < self.T_floor] = len(self.in_ks)
-            read = [k if abs(k) >= self.T_floor else None for k in read]
         # in-mode k is read by out-mode k+1 (its eta_+ side) and by out-mode
         # k-1 (its eta_- side)
-        self._adj_nbr = _ladder_nbr(read, self.in_ks)[::-1]
+        self._adj_nbr = _ladder_nbr(self.out_ks, self.in_ks)[::-1]
         ks_in = np.array(self.in_ks, dtype=float)[:, None, None]
         self._vmul = 1j * ks_in if V_power else None
         self._fwd_coef = _eta_coef(chart, ks_out - 1, ks_out + 1)
@@ -671,13 +672,11 @@ def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
         fa = f.get(0)
         if abs(np.sum(ch.w * fa)) > 1e-6 * np.sqrt(ch.norm2(fa) + 1e-300):
             raise ValueError("f_0 must be orthogonal to constants")
-        out_ks = [k for k in range(-N - 1, N + 2)]
-        op = _LadderOperator(ch, in_ks, out_ks, V_power=1)
-    else:
-        out_ks = [k for k in range(-N - 1, N + 2) if abs(k) >= m + 1]
-        op = _LadderOperator(ch, in_ks, out_ks, V_power=1, T_floor=m + 1)
+    # T: Q* leaves the output modes |k| <= m out
+    out_ks = [k for k in range(-N - 1, N + 2) if m == 0 or abs(k) >= m + 1]
     rhs = np.array([f.get(k) for k in out_ks])
-    h, r2, _, _ = op.solve(rhs, reg=reg, iter_lim=iter_lim)
+    h, r2, _, _ = _LadderOperator(ch, in_ks, out_ks, V_power=1).solve(
+        rhs, reg=reg, iter_lim=iter_lim)
     return SMField.from_array(ch, h), _relative_residual(
         r2, _rows2(rhs * ch.sqrt_w))
 

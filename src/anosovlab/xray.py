@@ -15,8 +15,6 @@ from .geometry import (FuchsianOctagon, ConformalTorus, ConstantCurvature,
                        ClosedGeodesic)
 from .smfourier import bump
 
-TWO_PI = 2.0 * np.pi
-
 
 # ----------------------------------------------------------------------------
 # analytic mode functions
@@ -74,14 +72,13 @@ def _conj_mode(mode):
                 (lambda x, y: np.conj(mode.dz(x, y))) if mode.dz else None)
 
 
-def trig_mode(grid, Lx, Ly):
-    """Mode backed by a periodic grid: trigonometric-interpolant evaluation
-    (exact for band-limited data on its chart)."""
+def trig_mode(grid, chart):
+    """Mode backed by a grid on a periodic chart: trigonometric-interpolant
+    evaluation (exact for band-limited data on the chart), with the chart's
+    dz and dbar symbols for the Wirtinger derivatives."""
     grid = np.asarray(grid, dtype=complex)
-    nx, ny = grid.shape
-    C = np.fft.fft2(grid) / (nx * ny)
-    kx = TWO_PI * np.fft.fftfreq(nx, d=Lx / nx)
-    ky = TWO_PI * np.fft.fftfreq(ny, d=Ly / ny)
+    C = np.fft.fft2(grid) / grid.size
+    kx, ky = chart.kx[:, 0], chart.ky[0]
 
     def _eval(coef, x, y):
         x = np.asarray(x, dtype=float)
@@ -90,11 +87,10 @@ def trig_mode(grid, Lx, Ly):
         Ey = np.exp(1j * np.multiply.outer(y, ky))       # (..., ny)
         return np.einsum("...m,mn,...n->...", Ex, coef, Ey)
 
-    ikx = 1j * kx[:, None]
-    iky = 1j * ky[None, :]
+    dz, dbar = chart.eta_symbol[:, 0]
     return Mode(lambda x, y: _eval(C, x, y),
-                lambda x, y: _eval(0.5 * (ikx - 1j * iky) * C, x, y),
-                lambda x, y: _eval(0.5 * (ikx + 1j * iky) * C, x, y))
+                lambda x, y: _eval(dz * C, x, y),
+                lambda x, y: _eval(dbar * C, x, y))
 
 
 # ----------------------------------------------------------------------------
@@ -122,7 +118,7 @@ class SymTensorField:
         for k in range(-m, m + 1, 2):
             g = field.get(k)
             if np.any(g):
-                modes[k] = trig_mode(g, ch.Lx, ch.Ly)
+                modes[k] = trig_mode(g, ch)
         return cls(model, m, modes, label=label)
 
     def eval(self, x, y, theta):
@@ -187,20 +183,11 @@ def solenoidal_check(A, chart):
 
     if A.m != 1:
         raise ValueError("solenoidal_check takes a degree-1 tensor")
-    xs = _chart_nodes(chart)
-    X, Y = np.meshgrid(xs[0], xs[1], indexing="ij")
+    X, Y = chart.mesh(-0.5)
     am1 = A.mode_values(-1, X, Y)
     a1 = A.mode_values(1, X, Y)
     r = eta_grid("+", -1, am1, chart) + eta_grid("-", 1, a1, chart)
     return float(np.sqrt(chart.norm2(r)))
-
-
-def _chart_nodes(chart):
-    """Grid node coordinates of a chart, centered on the origin as
-    disk-patch charts are by construction."""
-    xs = -0.5 * chart.Lx + np.arange(chart.nx) * (chart.Lx / chart.nx)
-    ys = -0.5 * chart.Ly + np.arange(chart.ny) * (chart.Ly / chart.ny)
-    return xs, ys
 
 
 # ----------------------------------------------------------------------------
@@ -470,9 +457,9 @@ def _nonpotential_basis(model, m, count, r0):
 
 
 def tensor_inner(f, g, chart):
-    """L^2(SM) inner product of two tensors via chart quadrature."""
-    xs, ys = _chart_nodes(chart)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    """L^2(SM) inner product of two tensors via quadrature on a disk-patch
+    chart."""
+    X, Y = chart.mesh(-0.5)
     acc = 0.0 + 0.0j
     for k in set(f.modes) | set(g.modes):
         acc += chart.inner(f.mode_values(k, X, Y), g.mode_values(k, X, Y))
@@ -520,8 +507,7 @@ def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
 
     # potential dictionary for the projection test (wider than the basis):
     # its chart values and Gram matrix serve every kernel vector
-    xs, ys = _chart_nodes(chart)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = chart.mesh(-0.5)
     ks = range(-m, m + 1, 2)
     dictionary = []
     if m >= 1 and kernel:

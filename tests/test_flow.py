@@ -38,9 +38,9 @@ class TestIntegrator:
 
     def test_fourth_order_convergence(self, curved_torus):
         start = np.array([0.4, 1.1, 0.3])
-        _, e1 = rk4_orbit(curved_torus, start, 1.0, 2e-2, record=False)
-        _, e2 = rk4_orbit(curved_torus, start, 1.0, 1e-2, record=False)
-        _, e0 = rk4_orbit(curved_torus, start, 1.0, 1e-3, record=False)
+        e1 = rk4_orbit(curved_torus, start, 1.0, 2e-2)[1][-1]
+        e2 = rk4_orbit(curved_torus, start, 1.0, 1e-2)[1][-1]
+        e0 = rk4_orbit(curved_torus, start, 1.0, 1e-3)[1][-1]
         r1 = np.linalg.norm(e1 - e0)
         r2 = np.linalg.norm(e2 - e0)
         assert r1 / r2 > 12.0   # ~16 for a 4th-order method
@@ -64,7 +64,7 @@ class TestIntegrator:
         T = np.array([2.37, 2.0, 2.0 + 1e-9, 4e-3])
         ends = _rk4_ends(model, states, T, 1e-2)
         for s, t, end in zip(states, T, ends):
-            _, single = rk4_orbit(model, s, t, 1e-2, record=False)
+            single = rk4_orbit(model, s, t, 1e-2)[1][-1]
             assert np.array_equal(end, single)
 
     @pytest.mark.parametrize("torus", ["curved_torus", "flat_torus"])
@@ -130,8 +130,7 @@ def _newton_oracle(model, homotopy, tol, max_iter=60):
 
     def resid(u):
         y0, th0, T = u
-        _, ends = rk4_orbit(model, np.array([0.0, y0, th0]), T, dt,
-                            record=False)
+        ends = rk4_orbit(model, np.array([0.0, y0, th0]), T, dt)[1][-1]
         return np.array([ends[0] - dx, ends[1] - (y0 + dy),
                          np.arctan2(np.sin(ends[2] - th0),
                                     np.cos(ends[2] - th0))])

@@ -45,6 +45,39 @@ class TestChart:
         ch = sf.Chart.disk_patch(hyperbolic, half_width=0.5, n=16)
         assert np.allclose(ch.K, -1.0)
 
+    def test_from_torus_takes_the_torus_calculus(self, curved_torus):
+        # at the torus's own grid the chart holds the torus's arrays, which
+        # are what the chart's own spectral calculus gives, bit for bit
+        ch = sf.Chart.from_torus(curved_torus)
+        assert ch.lam_x is curved_torus.lam_x_grid
+        own = sf.Chart(curved_torus.lam_grid, curved_torus.Lx,
+                       curved_torus.Ly)
+        for name in ("lam_x", "lam_y", "K", "dz_lam", "eta_symbol"):
+            assert np.array_equal(getattr(ch, name), getattr(own, name))
+
+    def test_refined_disk_patch_keeps_the_analytic_calculus(self, octagon):
+        # lam = log(2/(1 - r^2)) is not periodic on the box, so a spectral
+        # calculus of the interpolated lam is far off (K by ~18, lam_x by
+        # ~3); the refined patch is built analytically on the refined nodes
+        ch = sf.Chart.disk_patch(octagon, half_width=0.55, n=32)
+        fine = ch.refine()
+        assert fine.lam.shape == (64, 64)
+        assert np.array_equal(fine.K, np.full((64, 64), -1.0))
+        xs = -0.55 + np.arange(64) * (1.1 / 64)
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        lam, lam_x, lam_y = octagon.lam_and_grad(X, Y)
+        assert np.array_equal(fine.lam_x, lam_x)
+        assert np.array_equal(fine.lam_y, lam_y)
+        assert np.array_equal(fine.lam[::2, ::2], ch.lam)
+
+    def test_mesh_starts(self, octagon):
+        ch = sf.Chart.disk_patch(octagon, half_width=0.55, n=8)
+        X, Y = ch.mesh(-0.5)
+        assert X[0, 0] == Y[0, 0] == -0.55
+        assert np.allclose(np.diff(X[:, 0]), 1.1 / 8)
+        X0, _ = ch.mesh(0.0)
+        assert X0[0, 0] == 0.0 and np.allclose(X0, X + 0.55)
+
     def test_from_torus_resamples_a_non_square_torus(self):
         model = ConformalTorus.from_expression("0.1*cos(x)*sin(y)", TWO_PI,
                                                TWO_PI, 16, 32)
@@ -332,11 +365,10 @@ def _eta_loop_forward(op, h):
     out = {}
     for k in op.out_ks:
         acc = np.zeros((ch.nx, ch.ny), dtype=complex)
-        if op.T_floor is None or abs(k) >= op.T_floor:
-            if k - 1 in vh:
-                acc += sf.eta("+", k - 1, vh[k - 1], ch)
-            if k + 1 in vh:
-                acc += sf.eta("-", k + 1, vh[k + 1], ch)
+        if k - 1 in vh:
+            acc += sf.eta("+", k - 1, vh[k - 1], ch)
+        if k + 1 in vh:
+            acc += sf.eta("-", k + 1, vh[k + 1], ch)
         out[k] = acc * ch.sqrt_w
     return out
 
@@ -369,9 +401,6 @@ LADDER_CASES = {
     "V0": dict(in_ks=[-4, -2, 2, 4], out_ks=[-3, -1, 1, 3], V_power=0),
     "V1": dict(in_ks=list(range(-3, 4)), out_ks=list(range(-4, 5)),
                V_power=1),
-    # T_floor zeroes the output rows |k| < 2 that the band still holds
-    "V1-T_floor": dict(in_ks=list(range(-3, 4)), out_ks=list(range(-4, 5)),
-                       V_power=1, T_floor=2),
 }
 
 
@@ -386,10 +415,6 @@ class TestLadderOperator:
         # the batched products keep the loop's arithmetic, operation by
         # operation, so the two agree exactly, not merely to rounding
         assert np.array_equal(got, expect)
-        if op.T_floor is not None:
-            low = [k for k in op.out_ks if abs(k) < op.T_floor]
-            rows = _modes(got, op.out_ks, (chart.nx, chart.ny))
-            assert low and not any(np.any(rows[k]) for k in low)
 
     def test_rmatvec_is_the_adjoint(self, chart, case):
         op = sf._LadderOperator(chart, **LADDER_CASES[case])
