@@ -412,6 +412,7 @@ class FuchsianOctagon:
         # form has no cancellation when z lies near the boundary circle
         theta = np.mod(np.broadcast_to(theta, shape).ravel()
                        + np.angle((a - c * zr) ** 2), TWO_PI)
+        theta[theta == TWO_PI] = 0.0    # mod of a tiny negative angle rounds up
         applied = np.stack([a, b, c, d], axis=-1).reshape(shape + (2, 2))
         return zr.reshape(shape), theta.reshape(shape), applied
 

@@ -96,6 +96,11 @@ class Chart:
                            grid_nodes(start * self.Ly, self.ny, self.Ly),
                            indexing="ij")
 
+    def nodes(self):
+        """(X, Y) at the chart's own nodes: centred on the origin on a disk
+        patch, starting there on a torus."""
+        return self.mesh(-0.5 if self.patch is not None else 0.0)
+
     # -- inner products and refinement -------------------------------------
 
     def inner(self, f, g):
@@ -367,7 +372,7 @@ def _patch_window(ch):
     """Smooth radial bump on a box chart, vanishing with all derivatives at
     radius min(0.95 half-width, 0.62), inside the octagon's incircle."""
     r0 = min(0.95 * (0.5 * ch.Lx), 0.62)
-    X, Y = ch.mesh(-0.5)
+    X, Y = ch.nodes()
     return bump((X ** 2 + Y ** 2) / r0 ** 2)
 
 

@@ -11,8 +11,6 @@ transform converges spectrally.
 
 import numpy as np
 
-from .geometry import (FuchsianOctagon, ConformalTorus, ConstantCurvature,
-                       ClosedGeodesic)
 from .smfourier import bump
 
 
@@ -20,77 +18,83 @@ from .smfourier import bump
 # analytic mode functions
 
 
+def _conj(s):
+    """The stack of conj(f) from f's: conjugation swaps d_z and d_zbar."""
+    c = s[[0, 2, 1]]
+    return np.conj(c, out=c)
+
+
 class Mode:
-    """A scalar coefficient field with optional Wirtinger derivatives."""
+    """A scalar coefficient field: ``mode(x, y)`` is the stack (value, d_z,
+    d_zbar) at surface points, shape (3,) + theirs.
 
-    def __init__(self, val, dz=None, dbar=None):
-        self.val = val
-        self.dz = dz
-        self.dbar = dbar
+    conj(), real() and imag() are operations on that stack.  The mode they
+    make keeps its ``source`` evaluation and applies them to it, so a tensor
+    holding several parts of one source evaluates it once per point set
+    (``SymTensorField.stacks``)."""
+
+    def __init__(self, source, part=None):
+        self.source = source
+        self.part = part or (lambda s: s)   # the source's stack -> this one's
+
+    def __call__(self, x, y):
+        return self.part(self.source(x, y))
+
+    def _then(self, op):
+        return Mode(self.source, lambda s: op(self.part(s)))
+
+    def conj(self):
+        return self._then(_conj)
+
+    def real(self):
+        return self._then(lambda s: 0.5 * (s + _conj(s)))
+
+    def imag(self):
+        return self._then(lambda s: -0.5j * (s - _conj(s)))
 
 
-def _bump_prime(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = t < 1.0
-    ti = t[inside]
-    out[inside] = -np.exp(1.0 - 1.0 / (1.0 - ti)) / (1.0 - ti) ** 2
-    return out
-
-
-def windowed_trig_mode(mn, r0=0.57):
+def windowed_trig_mode(mn, r0):
     """w(x,y) e^{i (pi/r0) (m x + n y)} with w a radial bump supported in
-    the euclidean disk of radius r0 (inside the octagon when r0 < 0.64)."""
+    the euclidean disk of radius r0 (inside the octagon when r0 < 0.64).
+
+    A stack takes the bump b(t) of t = |z|^2 / r0^2 and the phase once;
+    inside the support b'(t) = -b / (1 - t)^2."""
     m, n = mn
     om = np.pi / r0
 
-    def val(x, y):
+    def stack(x, y):
         t = (x ** 2 + y ** 2) / r0 ** 2
-        return bump(t) * np.exp(1j * om * (m * x + n * y))
-
-    def dz(x, y):
-        z = x + 1j * y
-        t = (z * np.conj(z)).real / r0 ** 2
+        b = bump(t)
+        db = np.divide(-b, (1.0 - t) ** 2, out=np.zeros_like(b), where=t < 1.0)
         E = np.exp(1j * om * (m * x + n * y))
+        out = np.empty((3,) + E.shape, dtype=complex)
+        out[0] = b * E
         # d/dz of t is conj(z)/r0^2; d/dz of the phase is i om (m - i n)/2
-        return (_bump_prime(t) * np.conj(z) / r0 ** 2
-                + bump(t) * 0.5j * om * (m - 1j * n)) * E
+        out[1] = (db * (x - 1j * y) / r0 ** 2
+                  + b * 0.5j * om * (m - 1j * n)) * E
+        out[2] = (db * (x + 1j * y) / r0 ** 2
+                  + b * 0.5j * om * (m + 1j * n)) * E
+        return out
 
-    def dbar(x, y):
-        z = x + 1j * y
-        t = (z * np.conj(z)).real / r0 ** 2
-        E = np.exp(1j * om * (m * x + n * y))
-        return (_bump_prime(t) * z / r0 ** 2
-                + bump(t) * 0.5j * om * (m + 1j * n)) * E
-
-    return Mode(val, dz, dbar)
-
-
-def _conj_mode(mode):
-    return Mode(lambda x, y: np.conj(mode.val(x, y)),
-                (lambda x, y: np.conj(mode.dbar(x, y))) if mode.dbar else None,
-                (lambda x, y: np.conj(mode.dz(x, y))) if mode.dz else None)
+    return Mode(stack)
 
 
 def trig_mode(grid, chart):
     """Mode backed by a grid on a periodic chart: trigonometric-interpolant
-    evaluation (exact for band-limited data on the chart), with the chart's
-    dz and dbar symbols for the Wirtinger derivatives."""
+    evaluation (exact for band-limited data on the chart) of one stacked
+    coefficient array, the grid's and its images under the chart's dz and
+    dbar symbols."""
     grid = np.asarray(grid, dtype=complex)
     C = np.fft.fft2(grid) / grid.size
+    coef = np.concatenate([C[None], chart.eta_symbol[:, 0] * C])
     kx, ky = chart.kx[:, 0], chart.ky[0]
 
-    def _eval(coef, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        Ex = np.exp(1j * np.multiply.outer(x, kx))       # (..., nx)
-        Ey = np.exp(1j * np.multiply.outer(y, ky))       # (..., ny)
-        return np.einsum("...m,mn,...n->...", Ex, coef, Ey)
+    def stack(x, y):
+        Ex = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), kx))
+        Ey = np.exp(1j * np.multiply.outer(np.asarray(y, dtype=float), ky))
+        return np.einsum("...m,smn,...n->s...", Ex, coef, Ey)
 
-    dz, dbar = chart.eta_symbol[:, 0]
-    return Mode(lambda x, y: _eval(C, x, y),
-                lambda x, y: _eval(dz * C, x, y),
-                lambda x, y: _eval(dbar * C, x, y))
+    return Mode(stack)
 
 
 # ----------------------------------------------------------------------------
@@ -99,7 +103,9 @@ def trig_mode(grid, chart):
 
 class SymTensorField:
     """Degree-m symmetric tensor as its function on SM: vertical modes
-    supported on {-m, -m+2, ..., m}, each an analytic Mode."""
+    supported on {-m, -m+2, ..., m}, mode k the Mode ``modes[k]``.
+    ``values(x, y)`` evaluates all of them at once, one row per k of
+    ``ks``."""
 
     def __init__(self, model, m, modes, label=""):
         self.model = model
@@ -109,84 +115,77 @@ class SymTensorField:
         if bad:
             raise ValueError(f"modes {bad} outside the degree-{m} band")
         self.modes = dict(modes)
+        self.ks = tuple(self.modes)
         self.label = label
 
     @classmethod
     def from_smfield(cls, model, m, field, label=""):
-        ch = field.chart
-        modes = {}
-        for k in range(-m, m + 1, 2):
-            g = field.get(k)
-            if np.any(g):
-                modes[k] = trig_mode(g, ch)
+        modes = {k: trig_mode(field.get(k), field.chart)
+                 for k in range(-m, m + 1, 2) if np.any(field.get(k))}
         return cls(model, m, modes, label=label)
+
+    def stacks(self, x, y):
+        """Each mode's stack at surface points, one per k of ``ks``; the
+        modes of one source share its evaluation."""
+        sources = dict.fromkeys(mode.source for mode in self.modes.values())
+        stacks = {source: source(x, y) for source in sources}
+        return [mode.part(stacks[mode.source]) for mode in self.modes.values()]
+
+    def values(self, x, y):
+        return np.array([s[0] for s in self.stacks(x, y)])
 
     def eval(self, x, y, theta):
         """The function f(x, v) at SM points."""
         acc = np.zeros(np.broadcast(x, y, theta).shape, dtype=complex)
-        for k, mode in self.modes.items():
-            acc = acc + mode.val(x, y) * np.exp(1j * k * np.asarray(theta))
+        for k, v in zip(self.ks, self.values(x, y)):
+            acc = acc + v * np.exp(1j * k * np.asarray(theta))
         return acc
 
-    def mode_values(self, k, X, Y):
-        if k in self.modes:
-            return self.modes[k].val(X, Y)
-        return np.zeros(np.broadcast(X, Y).shape, dtype=complex)
 
-
-def lam_wirtinger(model, x, y):
-    """(e^{-lam}, d_z lam, d_zbar lam) at surface points."""
-    lam, lam_x, lam_y = model.lam_and_grad(np.asarray(x), np.asarray(y))
-    return (np.exp(-lam), 0.5 * (lam_x - 1j * lam_y),
-            0.5 * (lam_x + 1j * lam_y))
-
-
-def potential_tensor(h, model=None):
+class PotentialTensor(SymTensorField):
     """dh = Xh: the degree-m potential tensor of a degree-(m-1) tensor h.
 
-    h's modes must carry Wirtinger derivatives (windowed_trig_mode or
-    trig_mode); the eta-ladder coefficients use the model's analytic
-    conformal factor, so dh is the exact inner derivative of h's
-    interpolant and I_m(dh) vanishes on closed geodesics up to quadrature."""
-    model = model if model is not None else h.model
-    m = h.m + 1
+    h's modes must be Modes (windowed_trig_mode or trig_mode); the
+    eta-ladder coefficients use the model's analytic conformal factor, so
+    dh is the exact inner derivative of h's interpolant and I_m(dh) vanishes
+    on closed geodesics up to quadrature.  Its values read each mode of h,
+    and lam, once per point set."""
 
-    def eta_plus(mode, j):
-        def val(x, y):
-            emlam, dzl, _ = lam_wirtinger(model, x, y)
-            return emlam * (mode.dz(x, y) - j * dzl * mode.val(x, y))
-        return val
+    def __init__(self, h):
+        self.h, self.model, self.m = h, h.model, h.m + 1
+        self.ks = tuple(k for k in range(-self.m, self.m + 1, 2)
+                        if k - 1 in h.modes or k + 1 in h.modes)
+        self.label = f"d({h.label})"
 
-    def eta_minus(mode, j):
-        def val(x, y):
-            emlam, _, dbl = lam_wirtinger(model, x, y)
-            return emlam * (mode.dbar(x, y) + j * dbl * mode.val(x, y))
-        return val
-
-    modes = {}
-    for k in range(-m, m + 1, 2):
-        terms = []
-        if (k - 1) in h.modes:
-            terms.append(eta_plus(h.modes[k - 1], k - 1))
-        if (k + 1) in h.modes:
-            terms.append(eta_minus(h.modes[k + 1], k + 1))
-        if terms:
-            modes[k] = Mode(lambda x, y, fs=tuple(terms):
-                            sum(f(x, y) for f in fs))
-    return SymTensorField(model, m, modes, label=f"d({h.label})")
+    def values(self, x, y):
+        lam, lam_x, lam_y = self.model.lam_and_grad(x, y)
+        emlam = np.exp(-lam)
+        dzl, dbl = 0.5 * (lam_x - 1j * lam_y), 0.5 * (lam_x + 1j * lam_y)
+        S = dict(zip(self.h.ks, self.h.stacks(x, y)))
+        out = np.zeros((len(self.ks),) + emlam.shape, dtype=complex)
+        for row, k in zip(out, self.ks):
+            if k - 1 in S:          # eta_+ raises mode k - 1
+                v, d, _ = S[k - 1]
+                row += emlam * (d - (k - 1) * dzl * v)
+            if k + 1 in S:          # eta_- lowers mode k + 1
+                v, _, d = S[k + 1]
+                row += emlam * (d + (k + 1) * dbl * v)
+        return out
 
 
 def solenoidal_check(A, chart):
-    """||eta_+ a_{-1} + eta_- a_1|| on a quadrature chart; zero iff the
-    1-tensor is solenoidal (divergence-free) on the truncation."""
+    """||eta_+ a_{-1} + eta_- a_1|| on a quadrature chart, at its own nodes;
+    zero iff the 1-tensor is solenoidal (divergence-free) on the
+    truncation."""
     from .smfourier import eta as eta_grid
 
     if A.m != 1:
         raise ValueError("solenoidal_check takes a degree-1 tensor")
-    X, Y = chart.mesh(-0.5)
-    am1 = A.mode_values(-1, X, Y)
-    a1 = A.mode_values(1, X, Y)
-    r = eta_grid("+", -1, am1, chart) + eta_grid("-", 1, a1, chart)
+    X, Y = chart.nodes()
+    a = dict(zip(A.ks, A.values(X, Y)))
+    zero = np.zeros(X.shape)
+    r = (eta_grid("+", -1, a.get(-1, zero), chart)
+         + eta_grid("-", 1, a.get(1, zero), chart))
     return float(np.sqrt(chart.norm2(r)))
 
 
@@ -207,8 +206,8 @@ def _orbit_samples(geo, n_samples=None):
 
 
 # rows of stacked orbit samples per tensor evaluation: the temporaries of
-# one SymTensorField.eval stay near 1.6 MB, where stacking the whole default
-# pool (131k rows) would take ~20 MB
+# one SymTensorField.eval stay near 2 MB, where stacking the whole default
+# pool (131k rows) would take 16 times as much
 _CHUNK_POINTS = 8192
 
 
@@ -396,28 +395,19 @@ def _freq_list(count):
     return pairs[:count]
 
 
-def _real_scalar_modes(count, r0):
-    """Real windowed trig scalars: cos/sin pairs over half-plane
-    frequencies (both parities, no duplicated columns)."""
-    reps = [p for p in _freq_list(49) if p >= (0, 0)]
-    out = []
-    for m, n in reps:
-        base = windowed_trig_mode((m, n), r0=r0)
-        out.append(Mode(lambda x, y, b=base: np.real(b.val(x, y)),
-                        lambda x, y, b=base: 0.5 * (b.dz(x, y) +
-                                                    np.conj(b.dbar(x, y))),
-                        lambda x, y, b=base: 0.5 * (b.dbar(x, y) +
-                                                    np.conj(b.dz(x, y)))))
-        if (m, n) == (0, 0):
-            continue
-        out.append(Mode(lambda x, y, b=base: np.imag(b.val(x, y)),
-                        lambda x, y, b=base: -0.5j * (b.dz(x, y) -
-                                                      np.conj(b.dbar(x, y))),
-                        lambda x, y, b=base: -0.5j * (b.dbar(x, y) -
-                                                      np.conj(b.dz(x, y)))))
-        if len(out) >= count:
-            break
-    return out[:count]
+def _real_modes(j, count, r0):
+    """count mode sets of real degree-j tensors.  For j = 0, mode 0 is the
+    real or imaginary part of a windowed mode over half-plane frequencies
+    (both parities, no duplicated columns); otherwise mode j is a windowed
+    mode and mode -j its conjugate."""
+    if j == 0:
+        parts = []
+        for mn in (p for p in _freq_list(49) if p >= (0, 0)):
+            base = windowed_trig_mode(mn, r0)
+            parts += [base.real()] + ([base.imag()] if any(mn) else [])
+        return [{0: mode} for mode in parts[:count]]
+    tops = [windowed_trig_mode(mn, r0) for mn in _freq_list(count)]
+    return [{j: top, -j: top.conj()} for top in tops]
 
 
 def basis_capacity(m):
@@ -427,49 +417,40 @@ def basis_capacity(m):
 
 
 def _potential_basis(model, m, count, r0):
-    """Real potential tensors dh for degree-(m-1) tensors h with a single
-    conjugate mode pair (or mode 0 for m=1)."""
-    out = []
-    freqs = _freq_list(count)
-    for i in range(count):
-        if m == 1:
-            h = SymTensorField(model, 0, {0: _real_scalar_modes(i + 1, r0)[i]},
-                               label=f"h0[{i}]")
-        else:
-            top = windowed_trig_mode(freqs[i], r0=r0)
-            modes = {m - 1: top, -(m - 1): _conj_mode(top)}
-            h = SymTensorField(model, m - 1, modes, label=f"h{m-1}[{i}]")
-        out.append(potential_tensor(h, model))
-    return out
+    """Real potential tensors dh for real degree-(m-1) tensors h with a
+    single conjugate mode pair (or mode 0 for m=1)."""
+    return [PotentialTensor(SymTensorField(model, m - 1, modes,
+                                           label=f"h{m-1}[{i}]"))
+            for i, modes in enumerate(_real_modes(m - 1, count, r0))]
 
 
 def _nonpotential_basis(model, m, count, r0):
-    out = []
-    freqs = _freq_list(count)
-    for i in range(count):
-        if m == 0:
-            modes = {0: _real_scalar_modes(i + 1, r0)[i]}
-        else:
-            top = windowed_trig_mode(freqs[i], r0=r0)
-            modes = {m: top, -m: _conj_mode(top)}
-        out.append(SymTensorField(model, m, modes, label=f"free[{i}]"))
-    return out
+    return [SymTensorField(model, m, modes, label=f"free[{i}]")
+            for i, modes in enumerate(_real_modes(m, count, r0))]
 
 
 def tensor_inner(f, g, chart):
-    """L^2(SM) inner product of two tensors via quadrature on a disk-patch
-    chart."""
-    X, Y = chart.mesh(-0.5)
-    acc = 0.0 + 0.0j
-    for k in set(f.modes) | set(g.modes):
-        acc += chart.inner(f.mode_values(k, X, Y), g.mode_values(k, X, Y))
-    return complex(acc)
+    """L^2(SM) inner product of two tensors via quadrature at the chart's
+    own nodes."""
+    X, Y = chart.nodes()
+    gv = dict(zip(g.ks, g.values(X, Y)))
+    return complex(sum(chart.inner(a, gv[k])
+                       for k, a in zip(f.ks, f.values(X, Y)) if k in gv))
 
 
-def _values_inner(fv, gv, chart):
-    """tensor_inner on mode values already taken at the chart nodes (one
-    grid per vertical mode, the same modes in the same order)."""
-    return sum(chart.inner(a, b) for a, b in zip(fv, gv))
+def _gram(P, Q, w):
+    """Re sum(w p conj(q)) over p of P and q of Q: the L^2(SM) inner products
+    of real tensors held by their modes k >= 0 (sinjectivity_experiment)."""
+    return np.array([[np.sum(w * p * np.conj(q)).real for q in Q]
+                     for p in P]).reshape(len(P), len(Q))
+
+
+def _projection(D, w, b):
+    """The least-squares projections onto the span of D of the fields whose
+    inner products with D are the columns of b (b[i, a] = (D_i, f_a)): the
+    fields sum_i c_i D_i, one per column, by the small Gram solve."""
+    c = np.linalg.lstsq(_gram(D, D, w), b, rcond=1e-12)[0]
+    return np.tensordot(c.T, D, axes=1)
 
 
 def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
@@ -478,7 +459,9 @@ def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
 
     Builds G[gamma, j] = I_m(f_j)(gamma), takes its SVD, and reports how much
     of the numerical kernel (singular values below threshold * sigma_max)
-    lies outside the span of potential tensors."""
+    lies outside the span of potential tensors.  Each basis tensor is
+    evaluated on the chart at most twice (for its scale, then for the kernel
+    fields) and each dictionary tensor once."""
     if len(pool) < n_basis:
         return {"flag": "pool too small for the basis (underdetermined)",
                 "pool_size": len(pool), "n_basis": n_basis}
@@ -486,48 +469,58 @@ def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
 
     r0 = 0.57
     chart = Chart.disk_patch(model, half_width=0.6, n=64)
-    if m == 0:
-        basis = _nonpotential_basis(model, 0, n_basis, r0)
-        kinds = ["free"] * n_basis
-    else:
-        n_pot = n_basis // 2
-        basis = (_potential_basis(model, m, n_pot, r0)
-                 + _nonpotential_basis(model, m, n_basis - n_pot, r0))
-        kinds = ["potential"] * n_pot + ["free"] * (n_basis - n_pot)
+    n_pot = n_basis // 2 if m else 0
+    basis = (_potential_basis(model, m, n_pot, r0)
+             + _nonpotential_basis(model, m, n_basis - n_pot, r0))
+    kinds = ["potential"] * n_pot + ["free"] * (n_basis - n_pot)
 
     G = ray_transform_matrix(basis, pool, n_samples)
-    # column scales so the SVD compares tensors of comparable size
-    scales = np.array([np.sqrt(abs(tensor_inner(f, f, chart)))
-                       for f in basis])
-    Gs = G / scales
-    U, S, Vt = np.linalg.svd(Gs, full_matrices=False)
-    sig_max = S[0] if len(S) else 0.0
-    kernel = [Vt[i] / scales for i in range(len(S))
-              if S[i] <= threshold * sig_max]
+    # every tensor here is real, f_{-k} = conj(f_k): on the chart it is held
+    # by its modes k >= 0 (row k // 2), a mode k > 0 weighing twice in the
+    # SM norm
+    X, Y = chart.nodes()
+    w = np.array([chart.w * (2.0 if k else 1.0)
+                  for k in range(m % 2, m + 1, 2)])
 
-    # potential dictionary for the projection test (wider than the basis):
-    # its chart values and Gram matrix serve every kernel vector
-    X, Y = chart.mesh(-0.5)
-    ks = range(-m, m + 1, 2)
-    dictionary = []
-    if m >= 1 and kernel:
-        dictionary = [[d.mode_values(k, X, Y) for k in ks]
-                      for d in _potential_basis(
-                          model, m, min(12, 2 * (n_basis // 2)), r0)]
-    A = np.array([[_values_inner(di, dj, chart) for dj in dictionary]
-                  for di in dictionary])
+    def on_chart(f, out):
+        out[...] = 0.0
+        for k, v in zip(f.ks, f.values(X, Y)):
+            if k >= 0:
+                out[k // 2] = v
+
+    # the potential dictionary for the projection test (wider than the basis)
+    n_dict = min(12, 2 * n_pot)
+    D = np.empty((n_dict,) + w.shape, dtype=complex)
+    for i, d in enumerate(_potential_basis(model, m, n_dict, r0)):
+        on_chart(d, D[i])
+    # column scales so the SVD compares tensors of comparable size, and each
+    # tensor's inner products with the dictionary
+    buf = np.empty(w.shape, dtype=complex)
+    scales, cross = np.empty(n_basis), np.empty((n_dict, n_basis))
+    for j, f in enumerate(basis):
+        on_chart(f, buf)
+        scales[j] = np.sqrt(np.sum(w * np.abs(buf) ** 2))
+        cross[:, j] = _gram(D, [buf], w)[:, 0]
+    U, S, Vt = np.linalg.svd(G / scales, full_matrices=False)
+    sig_max = S[0] if len(S) else 0.0
+    kernel = Vt[S <= threshold * sig_max] / scales
+
     resid = 0.0
-    for v in kernel:
-        fk = [sum(v[j] * basis[j].mode_values(k, X, Y)
-                  for j in range(n_basis)) for k in ks]
-        nrm2 = sum(chart.norm2(g) for g in fk)
-        if nrm2 <= 0 or not dictionary:
-            continue
-        # least-squares projection onto span{dh}
-        b = np.array([_values_inner(fk, di, chart) for di in dictionary])
-        coef = np.linalg.lstsq(A, b, rcond=1e-12)[0]
-        proj2 = float(np.real(np.vdot(coef, b)))
-        resid = max(resid, np.sqrt(max(nrm2 - proj2, 0.0) / nrm2))
+    if len(kernel) and n_dict:
+        # each kernel field f = sum_j v_j f_j has the residual field
+        # f - Pi f: -Pi f from the dictionary, which is then dropped, plus
+        # the f_j evaluated once more.  r is orthogonal to Pi f, so
+        # ||f||^2 = ||r||^2 + ||Pi f||^2 without cancellation
+        R = _projection(D, w, cross @ kernel.T)
+        del D
+        proj2 = np.array([np.sum(w * np.abs(r) ** 2) for r in R])
+        R *= -1.0
+        for f, col in zip(basis, kernel.T):
+            on_chart(f, buf)
+            for r, v in zip(R, col):
+                r += v * buf
+        res2 = np.array([np.sum(w * np.abs(r) ** 2) for r in R])
+        resid = float(np.max(np.sqrt(res2 / (res2 + proj2))))
     return {"sigma_min": float(S[-1]) if len(S) else 0.0,
             "sigma_max": float(sig_max),
             "kernel_dim": len(kernel),

@@ -308,6 +308,15 @@ class TestOctagon:
             assert abs(np.angle(np.exp(1j * (thr[i] - oth)))) <= tol[i]
             assert 0.0 <= thr[i] < TWO_PI
 
+    def test_reduce_batch_angle_stays_below_two_pi(self, octagon):
+        # the orbit of 0 under the word (3, 7, 4) reduces with a tiny negative
+        # angle, which np.mod rounds up to exactly 2 pi
+        z = 0j
+        for k in (3, 7, 4):
+            z = mobius(octagon.disk_generators[k], z)
+        _, thr, _ = octagon.reduce_batch(np.array([z]), np.array([0.0]))
+        assert 0.0 <= thr[0] < TWO_PI
+
     def test_reduce_batch_rejects_boundary_point(self, octagon):
         zs = np.array([0.1 + 0.2j, 0.5, 1.0 - 1e-13, -0.3j])
         with pytest.raises(ValueError):

@@ -77,6 +77,9 @@ class TestChart:
         assert np.allclose(np.diff(X[:, 0]), 1.1 / 8)
         X0, _ = ch.mesh(0.0)
         assert X0[0, 0] == 0.0 and np.allclose(X0, X + 0.55)
+        # a disk patch's own nodes are the centred ones, to the bit
+        Xn, Yn = ch.nodes()
+        assert np.array_equal(Xn, X) and np.array_equal(Yn, Y)
 
     def test_from_torus_resamples_a_non_square_torus(self):
         model = ConformalTorus.from_expression("0.1*cos(x)*sin(y)", TWO_PI,

@@ -7,7 +7,7 @@ import pytest
 from anosovlab import xray
 from anosovlab import smfourier as sf
 from anosovlab.flow import find_closed_geodesics
-from anosovlab.geometry import FuchsianOctagon
+from anosovlab.geometry import ConformalTorus, FuchsianOctagon
 
 TWO_PI = 2.0 * np.pi
 
@@ -18,37 +18,79 @@ def small_pool(octagon):
                                       n_samples=512)
 
 
+def _assert_wirtinger_match_fd(mode, x, y, tol):
+    """The stack's d_z and d_zbar against central differences of its
+    value."""
+    eps = 1e-6
+    fx = (mode(x + eps, y)[0] - mode(x - eps, y)[0]) / (2 * eps)
+    fy = (mode(x, y + eps)[0] - mode(x, y - eps)[0]) / (2 * eps)
+    _, dz, dbar = mode(x, y)
+    assert abs(dz - 0.5 * (fx - 1j * fy)) < tol
+    assert abs(dbar - 0.5 * (fx + 1j * fy)) < tol
+
+
 class TestModes:
     def test_windowed_mode_derivatives_match_fd(self):
-        mode = xray.windowed_trig_mode((2, -1))
-        z = 0.11 + 0.07j
-        eps = 1e-6
-        fx = (mode.val(z.real + eps, z.imag) - mode.val(z.real - eps, z.imag)) / (2 * eps)
-        fy = (mode.val(z.real, z.imag + eps) - mode.val(z.real, z.imag - eps)) / (2 * eps)
-        assert abs(mode.dz(z.real, z.imag) - 0.5 * (fx - 1j * fy)) < 1e-6
-        assert abs(mode.dbar(z.real, z.imag) - 0.5 * (fx + 1j * fy)) < 1e-6
+        # the mode and the stack operations on it: conjugate, real part and
+        # imaginary part
+        mode = xray.windowed_trig_mode((2, -1), 0.57)
+        for part in (mode, mode.conj(), mode.real(), mode.imag()):
+            _assert_wirtinger_match_fd(part, 0.11, 0.07, 1e-6)
+
+    def test_stack_parts(self):
+        mode = xray.windowed_trig_mode((2, -1), 0.57)
+        v = mode(0.11, 0.07)[0]
+        assert mode.conj()(0.11, 0.07)[0] == np.conj(v)
+        assert mode.real()(0.11, 0.07)[0] == v.real
+        assert mode.imag()(0.11, 0.07)[0] == v.imag
+
+    def test_trig_mode_derivatives_match_fd(self, flat_torus):
+        ch = sf.Chart.from_torus(flat_torus)
+        X, Y = ch.nodes()
+        mode = xray.trig_mode(np.cos(X) * np.sin(2 * Y)
+                              + 1j * np.sin(X + Y), ch)
+        assert abs(mode(X[3, 5], Y[3, 5])[0]
+                   - (np.cos(X[3, 5]) * np.sin(2 * Y[3, 5])
+                      + 1j * np.sin(X[3, 5] + Y[3, 5]))) < 1e-12
+        _assert_wirtinger_match_fd(mode, 0.4, 1.3, 1e-6)
 
     def test_window_vanishes_outside_support(self):
-        mode = xray.windowed_trig_mode((1, 0), r0=0.5)
-        assert mode.val(0.6, 0.0) == 0.0
-        assert mode.dz(0.0, 0.7) == 0.0
+        mode = xray.windowed_trig_mode((1, 0), 0.5)
+        assert mode(0.6, 0.0)[0] == 0.0
+        assert mode(0.0, 0.7)[1] == 0.0
+        # t = 1 exactly: b' = -b/(1 - t)^2 must not divide 0 by 0
+        with np.errstate(all="raise"):
+            assert np.all(mode(np.array([0.5, 0.0]), np.array([0.0, 0.5]))
+                          == 0.0)
 
     def test_band_validation(self, octagon):
-        good = xray.windowed_trig_mode((1, 1))
+        good = xray.windowed_trig_mode((1, 1), 0.57)
         with pytest.raises(ValueError):
             xray.SymTensorField(octagon, 2, {1: good})
+
+    def test_conjugate_pair_evaluates_its_source_once(self, octagon):
+        calls = []
+        top = xray.windowed_trig_mode((1, 2), 0.57)
+        source = top.source
+        top.source = lambda x, y: calls.append(1) or source(x, y)
+        pair = xray.SymTensorField(octagon, 1, {1: top, -1: top.conj()})
+        x, y = np.array([0.1, -0.2]), np.array([0.3, 0.05])
+        v = pair.values(x, y)
+        assert len(calls) == 1
+        assert np.array_equal(v[1], np.conj(v[0]))
+        dh = xray.PotentialTensor(pair)
+        dh.values(x, y)
+        assert len(calls) == 2
 
 
 class TestRayTransform:
     def test_linearity(self, octagon, small_pool):
         geo = small_pool[0]
-        a = xray.SymTensorField(octagon, 0,
-                                {0: xray._real_scalar_modes(1, 0.57)[0]})
-        b = xray.SymTensorField(octagon, 0,
-                                {0: xray._real_scalar_modes(2, 0.57)[1]})
+        a = xray.SymTensorField(octagon, 0, xray._real_modes(0, 1, 0.57)[0])
+        b = xray.SymTensorField(octagon, 0, xray._real_modes(0, 2, 0.57)[1])
         both = xray.SymTensorField(
             octagon, 0, {0: xray.Mode(
-                lambda x, y: a.modes[0].val(x, y) + 2.0 * b.modes[0].val(x, y))})
+                lambda x, y: a.modes[0](x, y) + 2.0 * b.modes[0](x, y))})
         Ia = xray.ray_transform(a, geo)
         Ib = xray.ray_transform(b, geo)
         Iboth = xray.ray_transform(both, geo)
@@ -113,18 +155,52 @@ class TestRayTransform:
 
 class TestSolenoidal:
     def test_coordinate_gradient_not_solenoidal(self, octagon):
-        h = xray.SymTensorField(octagon, 0,
-                                {0: xray._real_scalar_modes(2, 0.57)[1]})
-        A = xray.potential_tensor(h, octagon)
+        h = xray.SymTensorField(octagon, 0, xray._real_modes(0, 2, 0.57)[1])
+        A = xray.PotentialTensor(h)
         ch = sf.Chart.disk_patch(octagon, half_width=0.6, n=64)
         assert xray.solenoidal_check(A, ch) > 1e-3
 
     def test_degree_check(self, octagon):
-        f = xray.SymTensorField(octagon, 0,
-                                {0: xray._real_scalar_modes(1, 0.57)[0]})
+        f = xray.SymTensorField(octagon, 0, xray._real_modes(0, 1, 0.57)[0])
         ch = sf.Chart.disk_patch(octagon, half_width=0.6, n=32)
         with pytest.raises(ValueError):
             xray.solenoidal_check(f, ch)
+
+
+class TestChartQuadrature:
+    def test_tensor_inner_on_a_torus_chart(self):
+        # the tensor is evaluated at the chart's own nodes, which start at
+        # the origin on a torus: its L^2(SM) norm is the field's
+        t = ConformalTorus.from_expression("0.3*cos(x) + 0.2*sin(y)", TWO_PI,
+                                           TWO_PI, 32, 32)
+        ch = sf.Chart.from_torus(t)
+        X, Y = ch.nodes()
+        assert X[0, 0] == Y[0, 0] == 0.0
+        u = sf.SMField(ch, {-2: np.exp(1j * (X - 2 * Y)),
+                            0: np.cos(X) + np.sin(Y) + 2.0,
+                            2: np.exp(-1j * (X - 2 * Y))})
+        f = xray.SymTensorField.from_smfield(t, 2, u)
+        ref = sf.norm2(u)
+        assert abs(xray.tensor_inner(f, f, ch) - ref) <= 1e-12 * ref
+
+    def test_non_potential_residual_resolves_a_tiny_off_span_part(self):
+        # f = D^T c + eps g with g orthogonal to span D: the residual field
+        # f - Pi f reads eps, where ||f||^2 - ||Pi f||^2 cancels to ~1e-16
+        rng = np.random.default_rng(5)
+        shape = (2, 16, 16)
+        w = rng.uniform(0.5, 2.0, shape)
+        D = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        g -= xray._projection(D, w, xray._gram(D, [g], w))[0]
+        f0 = np.tensordot(rng.normal(size=6), D, axes=1)
+        norm = lambda a: np.sqrt(xray._gram([a], [a], w)[0, 0])
+        eps = 1e-10
+        f = f0 + eps * norm(f0) / norm(g) * g
+        r = f - xray._projection(D, w, xray._gram(D, [f], w))[0]
+        assert abs(norm(r) / norm(f) - eps) <= 0.01 * eps
+        proj = f - r
+        cancel = max(norm(f) ** 2 - norm(proj) ** 2, 0.0) / norm(f) ** 2
+        assert abs(np.sqrt(cancel) - eps) > 0.01 * eps
 
 
 @lru_cache(maxsize=None)
