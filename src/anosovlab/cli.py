@@ -14,7 +14,9 @@ import hashlib
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -195,13 +197,26 @@ def _surface(cfg):
 _CSV_CHUNK = 256
 
 
-def _csv_text(column):
-    """The text ``csv.writer`` writes for each value of a float64 array --
-    repr of the value, never quoted -- or the column itself for any other
-    column, which ``csv.writer`` then formats."""
+def _csv_fields(column):
+    """The field text ``csv.writer`` writes for each value of ``column``.
+
+    A float64 array's values are written as their repr, never quoted, and
+    each distinct value is formatted once.  The memo is keyed on the bits,
+    not the value: -0.0 == 0.0 but they print apart, and NaN != NaN.  Any
+    other value is formatted by ``csv.writer`` itself, quoting included,
+    as the first of two fields, since a lone empty field is written as
+    ``""``; the delimiter and line terminator after it are then cut off
+    (the writer keeps the default terminator, whose characters decide
+    which fields are quoted)."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return [repr(v) for v in column.tolist()]
-    return column
+        bits = column.view(np.int64).tolist()
+        memo = {b: repr(v)
+                for b, v in dict(zip(bits, column.tolist())).items()}
+        return map(memo.__getitem__, bits)
+    rows = []       # csv.writer makes one write call per row
+    w = csv.writer(SimpleNamespace(write=rows.append))
+    w.writerows((v, "") for v in column)
+    return [r[:-len(",\r\n")] for r in rows]
 
 
 class _Out:
@@ -224,20 +239,25 @@ class _Out:
         return path
 
     def csv(self, name, columns):
-        """Write ``columns`` (header -> equal-length column) as CSV, the
-        bytes ``csv.writer`` writes row by row, formatted and written
-        _CSV_CHUNK rows at a time."""
+        """Write ``columns`` (header -> equal-length column) as CSV: the
+        bytes ``csv.writer`` writes row by row, formatted a column and
+        _CSV_CHUNK rows at a time and written one chunk per call."""
         cols = list(columns.values())
         n = len(cols[0]) if cols else 0
         if any(len(c) != n for c in cols):
             raise ValueError(f"{name}: columns of unequal length")
+        # the header is the first chunk, a column of one row each
+        chunks = chain([[[key] for key in columns]],
+                       ([c[a:a + _CSV_CHUNK] for c in cols]
+                        for a in range(0, n, _CSV_CHUNK)))
         path = self.dir / name
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(list(columns))
-            for a in range(0, n, _CSV_CHUNK):
-                w.writerows(zip(*(_csv_text(c[a:a + _CSV_CHUNK])
-                                  for c in cols)))
+            for chunk in chunks:
+                rows = map(",".join, zip(*map(_csv_fields, chunk)))
+                if len(cols) == 1:
+                    # csv.writer writes a row of one empty field as ""
+                    rows = (r or '""' for r in rows)
+                f.write("\r\n".join(rows) + "\r\n")
         return path
 
 

@@ -117,24 +117,27 @@ def _jacobi_chunks(K_half, betas, h, y0, v0):
     while i < n:
         if i == block_end:
             block, block_end = i, min(i + _BLOCK, n)
-            M = _step_matrices(K_half[:, 2 * block:2 * block_end + 1],
-                               betas, h)
-            # per-step growth bound, the worst row at each step
-            growth = np.cumsum(np.log(np.maximum(np.max(np.maximum(
-                np.abs(M[0]) + np.abs(M[1]), np.abs(M[2]) + np.abs(M[3])),
-                axis=0), 1.0)))
+            # an overflow here leaves a non-finite state, which fails below
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = _step_matrices(K_half[:, 2 * block:2 * block_end + 1],
+                                   betas, h)
+                # per-step growth bound, the worst row at each step
+                growth = np.cumsum(np.log(np.maximum(np.max(np.maximum(
+                    np.abs(M[0]) + np.abs(M[1]),
+                    np.abs(M[2]) + np.abs(M[3])), axis=0), 1.0)))
         p = i - block
         base = growth[p - 1] if p > 0 else 0.0
         L = max(1, int(np.searchsorted(growth[p:], base + _GROWTH,
                                        side="right")))
         _, exp = np.frexp(np.maximum(np.abs(y), np.abs(v)))
         y, v, E = np.ldexp(y, -exp), np.ldexp(v, -exp), E + exp
-        A, B, C, D = _prefix_products(*(x[:, p:p + L] for x in M))
         Y = np.empty((len(y), L + 1))
         V = np.empty((len(y), L + 1))
         Y[:, 0], V[:, 0] = y, v
-        Y[:, 1:] = A * y[:, None] + B * v[:, None]
-        V[:, 1:] = C * y[:, None] + D * v[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            A, B, C, D = _prefix_products(*(x[:, p:p + L] for x in M))
+            Y[:, 1:] = A * y[:, None] + B * v[:, None]
+            V[:, 1:] = C * y[:, None] + D * v[:, None]
         # a non-finite entry of the prefix products reaches the last column
         # (inf * 0 and inf - inf are NaN), so that column alone is tested
         if not (np.isfinite(Y[:, -1]).all() and np.isfinite(V[:, -1]).all()):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -145,11 +146,13 @@ class TestConfigHandling:
         doc = json.loads((out / "terminator_certificate.json").read_text())
         assert not doc["exceeds_beta_max"]
 
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_jacobi_state_is_solver_failure(self, tmp_path, capsys,
                                                       monkeypatch):
         # the step-resolution check rejects beta_max 1e308 before any solve;
         # with it lifted, the Jacobi kernel's step matrices overflow, and
-        # that must not read as "no conjugate point"
+        # that must not read as "no conjugate point".  The overflow is the
+        # case under test, so it raises no warning
         monkeypatch.setattr(cli, "MAX_STEP_PHASE", math.inf)
         rc, out = _run(tmp_path, "gulliver",
                        {"beta_target": 1.75, "beta_max": 1e308})
@@ -681,20 +684,38 @@ class TestImportFootprint:
         assert out.strip().split(maxsplit=1) == [str(cli.EXIT_OK), "[]"]
 
 
+# bit patterns of float64 values that compare equal but print apart, or
+# that compare unequal to themselves: zeros of both signs, and NaNs of both
+# signs, quiet and signalling, with and without payloads
+_ZERO_AND_NAN_BITS = np.array(
+    [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
+     0xFFF8000000000000, 0x7FF8000000000ABC, 0xFFF0000000000001,
+     0x7FF4000000000000], dtype=np.uint64).view(np.int64)
+
+
 class TestCsvWriter:
     def _write(self, tmp_path, columns):
         out = cli._Out(tmp_path, {})
         return out.csv("t.csv", columns).read_bytes()
 
     def test_edge_floats(self, tmp_path):
-        x = np.array([-0.0, 0.0, 1e-300, 1e16, 0.1 + 0.2, -1e-5, 5e-324,
-                      np.inf, -np.inf, np.nan, 1.0, 123456789.125])
-        # -0.0 and 0.0 compare equal, but print apart
-        runs = np.repeat([-1.0, 0.0012, -0.0, 0.0], 3)
-        two = np.where(np.arange(len(x)) % 2 == 0, -0.0, 0.0)
-        got = self._write(tmp_path, {"x": x, "runs": runs, "two": two})
-        assert got == _csv_writer_bytes(["x", "runs", "two"], [x, runs, two])
-        assert b",-0.0,-0.0\r\n" in got and b",0.0,0.0\r\n" in got
+        edges = np.concatenate([
+            [-0.0, 0.0, 1e-300, 1e16, 0.1 + 0.2, -1e-5, 5e-324, np.inf,
+             -np.inf, np.nan, 1.0, 123456789.125],
+            _ZERO_AND_NAN_BITS.view(np.float64)])
+        # rows in three chunks; every column repeats its values across the
+        # chunk boundaries
+        n = 2 * cli._CSV_CHUNK + 17
+        x = np.resize(edges, n)
+        # -0.0 and 0.0 compare equal, but print apart, also inside a chunk
+        runs = np.resize(np.repeat([-1.0, 0.0012, -0.0, 0.0], 3), n)
+        two = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+        K = np.where(np.arange(n) % 7 < 3, 1.2e-3, -1.0)
+        cols = {"x": x, "runs": runs, "two": two, "K": K}
+        got = self._write(tmp_path, cols)
+        assert got == _csv_writer_bytes(list(cols), list(cols.values()))
+        assert b",-0.0,-0.0," in got and b",0.0,0.0," in got
+        assert b"\r\nnan," in got and b"\r\n-nan" not in got
 
     def test_two_value_column_across_chunks(self, tmp_path):
         n = 2 * cli._CSV_CHUNK + 17
@@ -714,17 +735,54 @@ class TestCsvWriter:
     def test_empty_and_unequal_columns(self, tmp_path):
         assert self._write(tmp_path, {"k": np.array([]),
                                       "r": np.array([])}) == b"k,r\r\n"
+        # csv.writer writes a row of one empty field as ""
+        lone = ["", "a", None]
+        assert self._write(tmp_path, {"w": lone}) == \
+            _csv_writer_bytes(["w"], [lone]) == b'w\r\n""\r\na\r\n""\r\n'
         with pytest.raises(ValueError, match="unequal"):
             self._write(tmp_path, {"a": np.zeros(3), "b": np.zeros(2)})
 
     @settings(max_examples=50, deadline=None)
-    @given(x=hnp.arrays(np.float64, st.integers(0, 40),
-                        elements=st.floats(allow_nan=True,
-                                           allow_infinity=True)))
+    @given(x=st.one_of(
+        hnp.arrays(np.float64, st.integers(0, 40),
+                   elements=st.floats(allow_nan=True, allow_infinity=True)),
+        # any bit pattern, and a few that repeat, within a chunk and across
+        # chunk boundaries
+        *(hnp.arrays(np.int64, st.integers(0, 2 * cli._CSV_CHUNK + 40),
+                     elements=e).map(lambda b: b.view(np.float64))
+          for e in (st.integers(-2 ** 63, 2 ** 63 - 1),
+                    st.sampled_from(_ZERO_AND_NAN_BITS.tolist())))))
     def test_any_floats(self, x):
         with tempfile.TemporaryDirectory() as tmp:
             got = self._write(Path(tmp), {"x": x, "y": x[::-1]})
         assert got == _csv_writer_bytes(["x", "y"], [x, x[::-1]])
+
+    def test_gulliver_profile_is_the_csv_writer_bytes(self, tmp_path):
+        from anosovlab import gulliver
+        rc, out = _run(tmp_path, "gulliver", {"beta_target": 1.55})
+        assert rc == cli.EXIT_OK
+        profile = gulliver.synth_profile(gulliver.search_params(1.55))
+        ts = np.arange(0.0, profile.T, profile.dt)
+        K = profile(ts)
+        assert len(ts) == 16502 and len(np.unique(K)) == 2
+        assert (out / "profile.csv").read_bytes() == \
+            _csv_writer_bytes(["t", "K"], [ts, K])
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # the chunks bound the text held at once, whatever the row count
+        peaks = []
+        for n in (16_000, 135_000):
+            t = np.arange(n) * 1e-2
+            cols = {"t": t, "K": np.where(t < 1.0, 2.25, -1.0)}
+            out = cli._Out(tmp_path, {})
+            tracemalloc.start()
+            try:
+                out.csv("t.csv", cols)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 256 * 1024, peaks
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 class TestDeterminism:
