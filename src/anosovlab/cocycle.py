@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from . import flow as _flow
-from .flow import CurvatureProfile, trapping_surrogate, curvature_profile_along
+from .flow import CurvatureProfile, curvature_profile_along
 from .geometry import ConformalTorus, ConstantCurvature, FuchsianOctagon
 
 
@@ -57,10 +57,14 @@ def _steps(t0, t1, dt):
 
 
 def _half_grid(profile, t0, t1, dt):
-    """Time grid [t0, t1] with n RK4 steps and K sampled at half steps."""
+    """Time grid [t0, t1] with n RK4 steps and K sampled at half steps,
+    ``_BLOCK`` times at a time (elementwise, so the same bits as at once)."""
     n, h = _steps(t0, t1, dt)
-    t_half = t0 + np.arange(2 * n + 1) * (h / 2.0)
-    return n, h, profile(t_half)
+    K = np.empty(2 * n + 1)
+    for i in range(0, len(K), _BLOCK):
+        K[i:i + _BLOCK] = profile(t0 + np.arange(i, min(i + _BLOCK, len(K)))
+                                  * (h / 2.0))
+    return n, h, K
 
 
 def _rk4_step(y, v, c0, c1, c2, h):
@@ -449,7 +453,7 @@ def comparison_oracle(profile0, profile1, w0, w1, t0, tol=1e-8, dt=1e-2):
 # Anosov verdict
 
 
-def _profile_pool(model, seed=0):
+def _profile_pool(model, seed=0, riders=()):
     if isinstance(model, ConstantCurvature):
         return [CurvatureProfile.constant(model.K0, name=f"constant K={model.K0}")]
     if isinstance(model, FuchsianOctagon):
@@ -465,12 +469,13 @@ def _profile_pool(model, seed=0):
                             rng.uniform(0, model.Ly),
                             rng.uniform(0, 2 * np.pi)]
                            for _ in range(4)])
-        # the windows step as extra rows of the shooting's RK4 batches: a
-        # step costs little more at 16 rows than at 12, and far less than
-        # a step of its own
+        # the windows and the riders step as extra rows of the shooting's
+        # RK4 batches: a step costs little more at 16 rows than at 12, and
+        # far less than a step of its own
         windows = _flow.OrbitWindows(starts, 40.0, 5e-3)
         geos = _flow.find_closed_geodesics(model, ((1, 0), (0, 1), (1, 1)),
-                                           tol=1e-9, windows=windows)
+                                           tol=1e-9,
+                                           riders=(windows, *riders))
         pool = [curvature_profile_along(model, geo) for geo in geos
                 if geo is not None]
         return pool + windows.profiles(model)
@@ -480,9 +485,11 @@ def _profile_pool(model, seed=0):
 def anosov_verdict(model, beta_max=64.0, tol=1e-3, T_max=200.0, dt=1e-2,
                    seed=0):
     """Finite-evidence test of the Anosov characterization: no geodesic
-    trapped in zero curvature, and terminator value > 1."""
-    trap = trapping_surrogate(model, seed=seed)
-    pool = _profile_pool(model, seed=seed)
+    trapped in zero curvature (the surrogate's orbits ride in the pool's RK4
+    batches), and terminator value > 1."""
+    watch = _flow.TrappingWatch(model, seed=seed)
+    pool = _profile_pool(model, seed=seed, riders=(watch,))
+    trap = watch.report()
     cert = terminator_bisect(pool, beta_max=beta_max, tol=tol, T_max=T_max, dt=dt)
     if trap["trapped_detected"]:
         verdict = "not-Anosov"

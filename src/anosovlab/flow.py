@@ -141,16 +141,6 @@ def _n_steps(T, dt):
     return n, T / n
 
 
-def _rk4_states(model, states, T, dt):
-    """The n + 1 states of fixed-step RK4 over [0, T] at dt (``_n_steps``),
-    the start first, each yielded as it is reached."""
-    n, h = _n_steps(T, dt)
-    yield states
-    for _ in range(n):
-        states = _rk4_step(model, states, h)
-        yield states
-
-
 def rk4_orbit(model, states, T, dt):
     """Fixed-step RK4 over [0, T] for a batch of SM states (shape (..., 3)):
     a finished ``OrbitWindows``.  Returns (ts, trajectory), the trajectory
@@ -160,57 +150,59 @@ def rk4_orbit(model, states, T, dt):
     return np.arange(orbit.n + 1) * orbit.h, orbit.traj
 
 
-def _rk4_ends(model, states, T, dt, record=False, windows=None):
+def _rk4_ends(model, states, T, dt, riders=()):
     """End states of (n, 3) SM states, state i flowed over its own horizon
     T[i] at its own step dt[i] (``dt`` a scalar or one per row): n_i =
     max(1, round(T[i]/dt[i])) steps of h_i = T[i]/n_i, the same steps as
     ``rk4_orbit(model, states[i], T[i], dt[i])``.  All rows step together up
     to max n_i; row i is read off after step n_i.
 
-    With ``record``, returns instead one trajectory per row, row i's of
-    shape (n_i + 1, 3) and equal to ``rk4_orbit(model, states[i], T[i],
-    dt[i])[1]``.
-
-    ``windows``, an ``OrbitWindows``, rides along: its rows take as many of
-    the batch's steps as they still need, at their own step, as extra rows
-    of the same RK4 steps."""
+    ``riders`` (``OrbitWindows``, ``TrappingWatch``) ride along: a rider's
+    rows take as many of the batch's steps as they still need, at its own
+    step.  Riders are stacked longest first, so one that leaves holds the
+    batch's last rows and is cut off them."""
     states = np.array(states, dtype=float)
     T = np.asarray(T, dtype=float)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), T.shape)
     n = np.array([_n_steps(t, d)[0] for t, d in zip(T, dt)])
-    h = (T / n)[:, None]
     m = len(states)
-    ride = 0 if windows is None else min(windows.left, n.max())
-    if ride:
-        states = np.vstack([states, windows.states])
-        h = np.vstack([h, np.full((len(windows.states), 1), windows.h)])
-    if record:
-        traj = np.empty((n.max() + 1, m, 3))
-        traj[0] = states[:m]
+    riders = sorted((r for r in riders if r.left), key=lambda r: -r.left)
+    rows = np.cumsum([m] + [len(r.states) for r in riders])
+    states = np.vstack([states] + [r.states for r in riders])
+    h = np.concatenate([T / n] + [np.full(len(r.states), r.h)
+                                  for r in riders])[:, None]
     ends = np.empty((m, 3))
+    live = len(riders)
     for i in range(1, n.max() + 1):
         states = _rk4_step(model, states, h)
-        if i <= ride:
-            windows.take(states[m:])
-            if i == ride:
-                states, h = states[:m], h[:m]
-        if record:
-            traj[i] = states[:m]
+        for k in range(live):
+            riders[k].take(states[rows[k]:rows[k + 1]])
+        while live and not riders[live - 1].left:
+            live -= 1
+            states, h = states[:rows[live]], h[:rows[live]]
         done = n == i
         ends[done] = states[:m][done]
-    if record:
-        return [traj[:k + 1, j] for j, k in enumerate(n)]
     return ends
 
 
-class OrbitWindows:
-    """Orbit windows being stepped: fixed-step RK4 over [0, T] at dt from
-    SM starts (shape (..., 3)), all states recorded.
+class _Rider:
+    """Rows of SM ``states`` stepping at a scalar ``h``, ``left`` steps to
+    go, each state reached handed to ``take``.  Steps taken as extra rows of
+    ``_rk4_ends`` batches or alone by ``finish`` are the same bits."""
 
-    The steps can be taken as extra rows of ``_rk4_ends`` batches (its
-    ``windows`` argument) and the rest alone by ``finish``, in any mix:
-    each row steps at its own h from its own last state, so the states are
-    the same bits either way."""
+    @property
+    def left(self):
+        return self.n - self.i
+
+    def finish(self, model):
+        """Take the steps still left, alone."""
+        while self.left:
+            self.take(_rk4_step(model, self.states, self.h))
+
+
+class OrbitWindows(_Rider):
+    """Orbit windows being stepped: fixed-step RK4 over [0, T] at dt from
+    SM starts (shape (..., 3)), all states recorded."""
 
     def __init__(self, starts, T, dt):
         starts = np.array(starts, dtype=float)
@@ -221,10 +213,6 @@ class OrbitWindows:
         self.i = 0          # steps taken
 
     @property
-    def left(self):
-        return self.n - self.i
-
-    @property
     def states(self):
         return self.traj[self.i]
 
@@ -232,11 +220,6 @@ class OrbitWindows:
         """Record the states the next step reaches."""
         self.i += 1
         self.traj[self.i] = states
-
-    def finish(self, model):
-        """Take the steps still left, alone."""
-        while self.left:
-            self.take(_rk4_step(model, self.states, self.h))
 
     def profiles(self, model):
         """Finish, then return the aperiodic curvature profile along each
@@ -288,8 +271,8 @@ def _return_map(ends, us, du, dx, dy):
 def _newton_search(u, tol, max_iter):
     """Damped Newton iteration on the return map from u = (y0, theta0, T),
     as a generator: it yields each point it wants shot, receives the
-    residual r and Jacobian J there, and returns the converged u (or raises
-    RuntimeError)."""
+    residual r and Jacobian J there, and returns the converged u, always the
+    last point it yielded (or raises RuntimeError)."""
     r, J = yield u
     if np.max(np.abs(r)) < tol:
         return u
@@ -315,7 +298,7 @@ def _newton_search(u, tol, max_iter):
 
 
 def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60,
-                          windows=None):
+                          riders=()):
     """Closed geodesics of torus homotopy classes (p, q), by shooting plus a
     damped Newton iteration on the return map.  The start is anchored on the
     line x = 0 (y0 free) to remove the translation degeneracy along the
@@ -328,12 +311,14 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60,
     failed.  The searches run in lockstep: each Newton round shoots the
     4 points of every live class in one ``_rk4_ends`` call, and a class
     leaves the batch once it converges or fails.  Each class makes the same
-    iterates as a search on its own.  The converged orbits are then
-    recorded in one batched pass.
+    iterates as a search on its own.  A class's point u rides in its round
+    as an ``OrbitWindows``, finishing no later than its rows u + du (du > 0
+    in T), so the round a search converges in has recorded the closed
+    orbit.  The orbit is sampled at least 256 times: a shorter one is
+    stepped again, alone, at T/256.
 
-    ``windows``, an ``OrbitWindows``, rides along in these ``_rk4_ends``
-    batches until it has taken all its steps; the shots do not depend on
-    it."""
+    ``riders`` ride along in these ``_rk4_ends`` batches until they have
+    taken all their steps; the shots do not depend on them."""
     single = np.ndim(homotopy) == 1
     classes = [tuple(homotopy)] if single else [tuple(h) for h in homotopy]
     if (0, 0) in classes:
@@ -350,41 +335,35 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60,
     searches = [_newton_search(np.array([0.0, np.arctan2(dy, dx), T]), tol,
                                max_iter) for (dx, dy), T in zip(shifts, T0)]
     points = {i: next(search) for i, search in enumerate(searches)}
-    found = {}
+    geos = [None] * len(classes)
     while points:
         live = list(points)
         shots = [_shot_points(points[i]) for i in live]
-        us = np.vstack([u4 for u4, _ in shots])
+        orbits = [OrbitWindows(starts(u4[:1]), u4[0, 2], dts[i])
+                  for i, (u4, _) in zip(live, shots)]
+        us = np.vstack([u4[1:] for u4, _ in shots])
         ends = _rk4_ends(model, starts(us), us[:, 2],
-                         np.repeat([dts[i] for i in live], 4),
-                         windows=windows)
-        for k, (i, (u4, du)) in enumerate(zip(live, shots)):
-            rJ = _return_map(ends[4 * k:4 * k + 4], u4, du, *shifts[i])
+                         np.repeat([dts[i] for i in live], 3),
+                         riders=(*orbits, *riders))
+        for k, (i, (u4, du), orbit) in enumerate(zip(live, shots, orbits)):
+            rJ = _return_map(np.vstack([orbit.states, ends[3 * k:3 * k + 3]]),
+                             u4, du, *shifts[i])
             try:
                 points[i] = searches[i].send(rJ)
-            except StopIteration as stop:
-                found[i] = stop.value
+            except StopIteration:
+                if orbit.n < 256:
+                    orbit = OrbitWindows(orbit.traj[0], orbit.T, orbit.T / 256)
+                    orbit.finish(model)
+                x, y, theta = orbit.traj[:-1, 0].T
+                samples = np.column_stack([*model.wrap(x, y), theta])
+                geos[i] = ClosedGeodesic(model=model, period=float(orbit.T),
+                                         samples=samples, dt=float(orbit.h),
+                                         source="torus-shooting")
                 del points[i]
             except RuntimeError:
                 if single:
                     raise
                 del points[i]
-
-    geos = [None] * len(classes)
-    if found:
-        done = sorted(found)
-        us = np.array([found[i] for i in done])
-        T = us[:, 2]
-        h = T / [max(256, int(round(t / dts[i]))) for i, t in zip(done, T)]
-        trajs = _rk4_ends(model, starts(us), T, h, record=True,
-                          windows=windows)
-        for i, traj, t, hi in zip(done, trajs, T, h):
-            samples = traj[:-1].copy()
-            samples[:, 0], samples[:, 1] = model.wrap(samples[:, 0],
-                                                      samples[:, 1])
-            geos[i] = ClosedGeodesic(model=model, period=float(t),
-                                     samples=samples, dt=float(hi),
-                                     source="torus-shooting")
     return geos[0] if single else geos
 
 
@@ -430,40 +409,54 @@ def _curvature_samples(model, samples):
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
+class TrappingWatch(_Rider):
+    """Finite surrogate for "no geodesic trapped in zero curvature": n_dir
+    random orbits over [0, T_window], trapping flagged if one sees max |K| <
+    kappa_floor throughout.  A negative result is "no trapping detected
+    (finite test)"; the infinite-time condition is not decidable from a
+    finite window.  K is sampled on each state as the orbits reach it, into
+    a running max |K| per orbit (``max_abs_K``), so memory does not grow
+    with T_window.  A constant-curvature model has nothing to step."""
+
+    def __init__(self, model, n_dir=256, T_window=50.0, kappa_floor=1e-4,
+                 dt=2e-2, seed=0):
+        self.model, self.n_dir = model, n_dir
+        self.T_window, self.kappa_floor = T_window, kappa_floor
+        self.n = self.i = 0
+        self.uniform = isinstance(model, (ConstantCurvature, FuchsianOctagon))
+        if self.uniform:
+            self.max_abs_K = np.full(n_dir, abs(model.curvature_at((0, 0))))
+            return
+        rng = np.random.default_rng(seed)
+        self.states = np.column_stack([rng.uniform(0, L, n_dir) for L in
+                                       (model.Lx, model.Ly, TWO_PI)])
+        self.n, self.h = _n_steps(T_window, dt)
+        self.max_abs_K = np.abs(_curvature_samples(model, self.states))
+
+    def take(self, states):
+        """Fold |K| at the states the next step reaches into the maxima."""
+        self.i += 1
+        self.states = states
+        np.maximum(self.max_abs_K,
+                   np.abs(_curvature_samples(self.model, states)),
+                   out=self.max_abs_K)
+
+    def report(self):
+        """Finish the orbits, alone; the surrogate's report."""
+        self.finish(self.model)
+        min_max = float(np.min(self.max_abs_K))
+        trapped = min_max < self.kappa_floor
+        return {"trapped_detected": bool(trapped), "n_dir": self.n_dir,
+                "T_window": self.T_window, "kappa_floor": self.kappa_floor,
+                "min_max_abs_K": min_max,
+                "note": ("constant-curvature model: K uniform; finite test"
+                         if self.uniform else
+                         "trapping flagged on a finite window" if trapped
+                         else "no trapping detected (finite test)")}
+
+
 def trapping_surrogate(model, n_dir=256, T_window=50.0, kappa_floor=1e-4,
                        dt=2e-2, seed=0):
-    """Finite surrogate for "no geodesic trapped in zero curvature".
-
-    Samples n_dir random starts, integrates each over [0, T_window] and flags
-    trapping if some orbit sees max |K| < kappa_floor throughout.  A negative
-    result is reported as "no trapping detected (finite test)" -- the infinite
-    -time condition is not decidable from a finite window.
-
-    The orbits are not recorded: K is sampled on each state as the orbits
-    reach it, into a running max |K| per orbit, so memory does not grow with
-    T_window.
-    """
-    if isinstance(model, (ConstantCurvature, FuchsianOctagon)):
-        # curvature is constant over the whole surface by construction
-        K0 = abs(model.curvature_at((0.0, 0.0)))
-        trapped = K0 < kappa_floor
-        return {"trapped_detected": bool(trapped), "n_dir": n_dir,
-                "T_window": T_window, "kappa_floor": kappa_floor,
-                "min_max_abs_K": K0,
-                "note": "constant-curvature model: K uniform; finite test"}
-    rng = np.random.default_rng(seed)
-    states = np.column_stack([
-        rng.uniform(0, model.Lx, n_dir),
-        rng.uniform(0, model.Ly, n_dir),
-        rng.uniform(0, TWO_PI, n_dir),
-    ])
-    per_orbit_max = np.zeros(n_dir)
-    for states in _rk4_states(model, states, T_window, dt):
-        np.maximum(per_orbit_max, np.abs(_curvature_samples(model, states)),
-                   out=per_orbit_max)
-    min_max = float(np.min(per_orbit_max))
-    return {"trapped_detected": bool(min_max < kappa_floor), "n_dir": n_dir,
-            "T_window": T_window, "kappa_floor": kappa_floor,
-            "min_max_abs_K": min_max,
-            "note": "no trapping detected (finite test)" if min_max >= kappa_floor
-                    else "trapping flagged on a finite window"}
+    """The report of a ``TrappingWatch`` stepped alone."""
+    return TrappingWatch(model, n_dir, T_window, kappa_floor, dt,
+                         seed).report()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -301,16 +303,28 @@ class TestSampledOnce:
                     == per_beta_bisect(pool, **kw))
 
     def _sampled(self, monkeypatch, pool, **kw):
-        """The profile names, one per CurvatureProfile call, and the
-        certificate of terminator_bisect(pool, **kw)."""
+        """The profile names, one per half grid of the default T_max and dt
+        sampled, and the certificate of terminator_bisect(pool, **kw).  A
+        grid is sampled a block at a time: its 2n + 1 points come from
+        consecutive CurvatureProfile calls on one profile."""
         calls = []
         orig = CurvatureProfile.__call__
 
         def counted(self, ts):
-            calls.append(self.name)
+            calls.append((self.name, np.size(ts)))
             return orig(self, ts)
         monkeypatch.setattr(CurvatureProfile, "__call__", counted)
-        return calls, terminator_bisect(pool, **kw)
+        cert = terminator_bisect(pool, **kw)
+        n_grid = 2 * cocycle._steps(0.0, 200.0, 1e-2)[0] + 1
+        grids, left = [], 0
+        for name, size in calls:
+            if not left:    # the next grid starts
+                grids.append(name)
+                left = n_grid
+            assert name == grids[-1] and size <= left
+            left -= size
+        assert left == 0
+        return grids, cert
 
     def test_each_profile_sampled_once(self, torus_pool, monkeypatch):
         calls, cert = self._sampled(monkeypatch, torus_pool,
@@ -365,6 +379,60 @@ class TestProfilePool:
         for prof, (K, dt) in zip(pool, ref):
             assert np.array_equal(prof.K_samples, K)
             assert prof.dt == dt
+
+    def test_surrogate_and_pool_draw_apart(self, curved_torus, monkeypatch):
+        # the verdict's surrogate rides in its pool's shooting; each draws
+        # its starts from a generator of its own, so both equal the ones
+        # made apart
+        pools = []
+        orig = cocycle._profile_pool
+
+        def kept(*args, **kw):
+            pools.append(orig(*args, **kw))
+            return pools[-1]
+        monkeypatch.setattr(cocycle, "_profile_pool", kept)
+        rep = anosov_verdict(curved_torus, beta_max=64.0 / 2 ** 14, seed=2)
+        monkeypatch.undo()
+        assert rep["trapping"] == flow.trapping_surrogate(curved_torus,
+                                                          seed=2)
+        alone = cocycle._profile_pool(curved_torus, seed=2)
+        assert len(pools) == 1 and len(pools[0]) == len(alone) == 7
+        for prof, ref in zip(pools[0], alone):
+            assert np.array_equal(prof.K_samples, ref.K_samples)
+            assert (prof.dt, prof.name) == (ref.dt, ref.name)
+
+
+class TestHalfGrid:
+    """_half_grid samples a profile a block of _BLOCK times at a time."""
+
+    @pytest.fixture(scope="class")
+    def gulliver_195(self):
+        prof = gulliver.synth_profile(gulliver.search_params(1.95))
+        return prof, 3.0 * prof.T   # gulliver's default horizon
+
+    def test_blocks_are_the_bits_of_one_call(self, gulliver_195,
+                                             curved_torus):
+        prof, T_max = gulliver_195
+        # trigonometric interpolation of a closed orbit's samples
+        geo = flow.find_closed_geodesics(curved_torus, (1, 1), tol=1e-9)
+        torus = flow.curvature_profile_along(curved_torus, geo)
+        assert torus.K_fn is None and torus.periodic
+        for p, t0, t1 in ((prof, 0.0, T_max), (torus, -3.0, 47.0)):
+            n, h, K = cocycle._half_grid(p, t0, t1, 1e-2)
+            assert len(K) > cocycle._BLOCK and len(K) % cocycle._BLOCK
+            assert np.array_equal(K, p(t0 + np.arange(2 * n + 1) * (h / 2.0)))
+
+    def test_bisection_memory(self, gulliver_195):
+        # sampled at once, the 162,533-point grid's times, their reduction
+        # modulo the period, the np.where result and K peaked at 4.1 MB
+        prof, T_max = gulliver_195
+        tracemalloc.start()
+        try:
+            terminator_bisect([prof], T_max=T_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6     # 2.2 MB a block at a time
 
 
 class TestComparison:

@@ -70,38 +70,49 @@ class TestIntegrator:
     @pytest.mark.parametrize("torus", ["curved_torus", "flat_torus"])
     def test_ends_with_one_step_per_row_equal_single_runs(self, torus,
                                                           request):
-        # each row at its own step size, as in lockstep shooting
+        # each row at its own step size, as in lockstep shooting; each
+        # row's own orbit rides along and is recorded
         model = request.getfixturevalue(torus)
         states = np.array([[0.4, 1.1, 0.3], [2.0, 4.5, 2.9],
                            [5.1, 0.2, 4.4]])
         T = np.array([2.37, 2.0, 1.5])
         dt = np.array([1e-2, 7e-3, 1.5 / 256])
-        ends = _rk4_ends(model, states, T, dt)
-        trajs = _rk4_ends(model, states, T, dt, record=True)
-        for s, t, h, end, traj in zip(states, T, dt, ends, trajs):
+        orbits = [flow.OrbitWindows(s[None], t, h)
+                  for s, t, h in zip(states, T, dt)]
+        ends = _rk4_ends(model, states, T, dt, riders=orbits)
+        for s, t, h, end, orbit in zip(states, T, dt, ends, orbits):
             _, single = rk4_orbit(model, s, t, h)
-            assert np.array_equal(traj, single)
+            assert orbit.left == 0
+            assert np.array_equal(orbit.traj[:, 0], single)
             assert np.array_equal(end, single[-1])
 
     @pytest.mark.parametrize("torus", ["curved_torus", "flat_torus"])
     @pytest.mark.parametrize("T_window", [1.0, 3.0, 9.0])
     def test_windows_riding_in_batches_equal_one_recorded_orbit(
             self, torus, request, T_window):
-        # 100, 300 and 900 window steps of 1e-2: fewer than the first
-        # batch's 237; more, so the second batch of 150 drops the windows
+        # 100, 300 and 900 rider steps of 1e-2: fewer than the first
+        # batch's 237; more, so the second batch of 150 drops the riders
         # partway; and more than both, so the rest is stepped alone
         model = request.getfixturevalue(torus)
         starts = np.array([[0.3, 2.2, 1.9], [4.0, 0.7, 5.5]])
         windows = flow.OrbitWindows(starts, T_window, 1e-2)
+        kw = dict(n_dir=8, T_window=T_window, kappa_floor=0.05, dt=1e-2,
+                  seed=3)
+        watch = flow.TrappingWatch(model, **kw)
         states = np.array([[0.4, 1.1, 0.3], [2.0, 4.5, 2.9]])
         T, dt = np.array([2.37, 1.0]), np.array([1e-2, 7e-3])
-        ends = _rk4_ends(model, states, T, dt, windows=windows)
-        trajs = _rk4_ends(model, states, np.array([1.5, 1.5]), 1e-2,
-                          record=True, windows=windows)
+        ends = _rk4_ends(model, states, T, dt, riders=(windows, watch))
         assert np.array_equal(ends, _rk4_ends(model, states, T, dt))
-        for traj, s in zip(trajs, states):
-            assert np.array_equal(traj, rk4_orbit(model, s, 1.5, 1e-2)[1])
-        assert windows.i == min(windows.n, 237 + 150)
+        # the rows' own orbits ride too, between the other riders
+        orbits = [flow.OrbitWindows(s[None], 1.5, 1e-2) for s in states]
+        ends = _rk4_ends(model, states, np.array([1.5, 1.5]), 1e-2,
+                         riders=(windows, *orbits, watch))
+        for orbit, s, end in zip(orbits, states, ends):
+            _, single = rk4_orbit(model, s, 1.5, 1e-2)
+            assert orbit.left == 0
+            assert np.array_equal(orbit.traj[:, 0], single)
+            assert np.array_equal(end, single[-1])
+        assert windows.i == watch.i == min(windows.n, 237 + 150)
         profiles = windows.profiles(model)
         _, orbit = rk4_orbit(model, starts, T_window, 1e-2)
         assert np.array_equal(windows.traj, orbit)
@@ -109,6 +120,27 @@ class TestIntegrator:
             assert np.array_equal(
                 prof.K_samples, flow._curvature_samples(model, orbit[:, k]))
             assert prof.dt == windows.h
+        alone = flow.TrappingWatch(model, **kw)
+        assert watch.report() == alone.report() == \
+            trapping_surrogate(model, **kw)
+        assert np.array_equal(watch.max_abs_K, alone.max_abs_K)
+        assert watch.left == 0
+
+    @pytest.mark.parametrize("T", [-1.0, 1e-9, 2.005 - 1e-9, 30.0])
+    def test_shot_point_finishes_inside_its_batch(self, curved_torus, T):
+        # a shot's own point u rides while its 3 points u + du are rows:
+        # du > 0 in T, so no row takes fewer steps than u.  At 2.005 - 1e-9
+        # u takes 200 steps and u + du_T 201
+        model, dt = curved_torus, 1e-2
+        u4, du = flow._shot_points(np.array([1.3, 0.4, T]))
+        starts = np.column_stack([np.zeros(4), u4[:, 0], u4[:, 1]])
+        orbit = flow.OrbitWindows(starts[:1], T, dt)
+        ends = _rk4_ends(model, starts[1:], u4[1:, 2], dt, riders=(orbit,))
+        assert orbit.left == 0
+        assert np.array_equal(orbit.traj[:, 0],
+                              rk4_orbit(model, starts[0], T, dt)[1])
+        for s, t, end in zip(starts[1:], u4[1:, 2], ends):
+            assert np.array_equal(end, rk4_orbit(model, s, t, dt)[1][-1])
 
     def test_octagon_generator_orbit_closes(self, octagon):
         geo = octagon.closed_geodesic_from_word([0])
@@ -218,8 +250,8 @@ class TestClosedGeodesics:
 
     def test_closed_orbit_is_the_recorded_rk4_orbit(self, curved_torus,
                                                     single_class_geos):
-        # the batched recording pass samples rk4_orbit from the oracle's
-        # converged start, wrapped into the torus box
+        # the orbit recorded in the last Newton round is rk4_orbit from the
+        # oracle's converged start, wrapped into the torus box
         y0, th0, T = _newton_oracle(curved_torus, (0, 1), tol=1e-9)
         geo = single_class_geos[(0, 1)]
         n = len(geo.samples)
@@ -227,6 +259,21 @@ class TestClosedGeodesics:
         x, y = curved_torus.wrap(traj[:-1, 0], traj[:-1, 1])
         assert np.array_equal(geo.samples,
                               np.column_stack([x, y, traj[:-1, 2]]))
+
+    def test_short_orbits_keep_256_samples(self):
+        # e^lambda ~ e^-2 takes every class below 256 steps of its dt, so
+        # its closed orbit is stepped again at T/256
+        t = ConformalTorus.from_expression("-2 + 0.1*cos(x)*sin(y)",
+                                           TWO_PI, TWO_PI, 32, 32)
+        classes = [(1, 0), (0, 1), (1, 1)]
+        for hom, geo in zip(classes, find_closed_geodesics(t, classes)):
+            y0, th0, T = _newton_oracle(t, hom, tol=1e-10)
+            assert geo.period == T and geo.dt == T / 256
+            _, traj = rk4_orbit(t, np.array([0.0, y0, th0]), T, T / 256)
+            x, y = t.wrap(traj[:-1, 0], traj[:-1, 1])
+            assert len(geo.samples) == 256
+            assert np.array_equal(geo.samples,
+                                  np.column_stack([x, y, traj[:-1, 2]]))
 
     def test_flat_torus_homotopy_classes(self, flat_torus):
         geo = find_closed_geodesics(flat_torus, (1, 0))
