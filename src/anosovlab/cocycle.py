@@ -3,9 +3,8 @@
 Everything here runs on a ``CurvatureProfile`` (K(t) along a unit-speed
 geodesic): the beta-Jacobi equation y'' + beta K(t) y = 0, conjugate-point
 detection, Hopf solutions of the Riccati equation r' + r^2 + beta K = 0,
-hyperbolicity of the cocycle, terminator-value bisection, and the Anosov
-verdict that combines the terminator bracket with the zero-curvature trapping
-surrogate.
+terminator-value bisection, and the Anosov verdict that combines the
+terminator bracket with the zero-curvature trapping surrogate.
 
 All of it runs on one Jacobi kernel: the Riccati and Hopf solutions are read
 off it as r = y'/y, with poles at the zeros of y.
@@ -153,33 +152,18 @@ def _jacobi_chunks(K_half, betas, h, y0, v0):
         i += L
 
 
-def _jacobi_trajectory(K_half, betas, h, y0, v0):
-    """Unscaled states (m, n+1) of the RK4 solutions from (y0, v0)."""
-    m, n = len(K_half), (np.shape(K_half)[1] - 1) // 2
-    ys, vs = np.empty((m, n + 1)), np.empty((m, n + 1))
-    ys[:, 0], vs[:, 0] = y0, v0
-    for i0, Y, V, E in _jacobi_chunks(K_half, betas, h, y0, v0):
-        L = Y.shape[1] - 1
-        ys[:, i0 + 1:i0 + L + 1] = np.ldexp(Y[:, 1:], E[:, None])
-        vs[:, i0 + 1:i0 + L + 1] = np.ldexp(V[:, 1:], E[:, None])
-    return ys, vs
-
-
 def integrate_beta_jacobi(profile, beta, y0, dy0, T, dt=1e-2, t0=0.0):
     """Solve y'' + beta K(t) y = 0 over [t0, t0+T]; returns (ts, ys, dys)."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     n, h, Kh = _half_grid(profile, t0, t0 + T, dt)
-    ys, dys = _jacobi_trajectory(Kh[None, :], [beta], h, [y0], [dy0])
-    return t0 + np.arange(n + 1) * h, ys[0], dys[0]
-
-
-def cocycle_matrix(profile, beta, T, dt=1e-2):
-    """Psi_T^beta: the 2x2 matrix mapping (y(0), y'(0)) to (y(T), y'(T))."""
-    _, h, Kh = _half_grid(profile, 0.0, T, dt)
-    ys, vs = _jacobi_trajectory(np.stack([Kh, Kh]), [beta, beta], h,
-                                [1.0, 0.0], [0.0, 1.0])
-    return np.array([ys[:, -1], vs[:, -1]])
+    ys, dys = np.empty(n + 1), np.empty(n + 1)
+    ys[0], dys[0] = y0, dy0
+    for i0, Y, V, E in _jacobi_chunks(Kh[None, :], [beta], h, [y0], [dy0]):
+        L = Y.shape[1] - 1
+        ys[i0 + 1:i0 + L + 1] = np.ldexp(Y[0, 1:], E[0])
+        dys[i0 + 1:i0 + L + 1] = np.ldexp(V[0, 1:], E[0])
+    return t0 + np.arange(n + 1) * h, ys, dys
 
 
 def _hermite_root(t, h, y0, v0, y1, v1):
@@ -323,31 +307,6 @@ def riccati_hopf(profile, beta, R=30.0, dt=1e-2):
     rp, rm = rp[-(n + 1):], rm[-(n + 1):][::-1]
     return HopfPair(np.arange(n + 1) * h, rp, rm, R_used,
                     float(np.min(rp - rm)))
-
-
-def hyperbolicity_test(profile, beta, R=20.0, dt=1e-2):
-    """Theorem-style criterion: hyperbolic iff r^+ and r^- stay distinct.
-
-    Compares Hopf gaps at horizons R, 2R, 4R; a stable positive gap (within
-    10% under doubling) means hyperbolic, a gap that keeps shrinking toward 0
-    means not-hyperbolic, anything else is inconclusive.  A Jacobi probe's
-    growth over the window is attached as cross-evidence."""
-    gaps = []
-    for Rk in (R, 2 * R, 4 * R):
-        pair = riccati_hopf(profile, beta, R=Rk, dt=dt)
-        gaps.append(pair.gap_min)
-    g1, g2, g3 = gaps
-    gap_tol = 1e-4
-    # probe growth of the cocycle over [0, 4R]
-    M = cocycle_matrix(profile, beta, 4 * R, dt)
-    probe_growth = float(np.linalg.norm(M @ np.array([1.0, 0.0])))
-    ev = {"gaps": gaps, "horizons": [R, 2 * R, 4 * R],
-          "probe_growth": probe_growth}
-    if g3 > gap_tol and abs(g3 - g2) <= 0.1 * abs(g3):
-        return {"verdict": "hyperbolic", **ev}
-    if g3 <= gap_tol or (g3 < 0.6 * g2 and g2 < 0.6 * g1):
-        return {"verdict": "not-hyperbolic", **ev}
-    return {"verdict": "inconclusive", **ev}
 
 
 # ----------------------------------------------------------------------------

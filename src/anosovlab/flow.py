@@ -20,19 +20,6 @@ from .geometry import (ClosedGeodesic, ConformalTorus, ConstantCurvature,
 
 
 @dataclass
-class GeodesicOrbit:
-    model: object
-    ts: np.ndarray
-    samples: np.ndarray   # (n, 3) rows (x, y, theta)
-    dt: float
-
-    @property
-    def end(self):
-        x, y, th = self.samples[-1]
-        return UnitTangent(x, y, th)
-
-
-@dataclass
 class CurvatureProfile:
     """Gaussian curvature along a unit-speed geodesic, K(t) at step dt.
 
@@ -231,23 +218,6 @@ class OrbitWindows(_Rider):
                                  name=f"window:{self.T}") for k in K]
 
 
-def integrate_geodesic(model, start, T, dt=1e-3):
-    """Integrate the geodesic flow from a UnitTangent over [0, T].
-
-    Negative T integrates backwards (by reversing the direction, flowing, and
-    reversing again)."""
-    s0 = start.as_array() if isinstance(start, UnitTangent) else np.asarray(start, dtype=float)
-    if T < 0:
-        rev = s0.copy()
-        rev[2] = np.mod(rev[2] + np.pi, TWO_PI)
-        ts, traj = rk4_orbit(model, rev, -T, dt)
-        traj = traj[::-1].copy()
-        traj[:, 2] = np.mod(traj[:, 2] + np.pi, TWO_PI)
-        return GeodesicOrbit(model, -ts[::-1], traj, dt)
-    ts, traj = rk4_orbit(model, s0, T, dt)
-    return GeodesicOrbit(model, ts, traj, ts[1] - ts[0] if len(ts) > 1 else dt)
-
-
 _FD_EPS = 1e-7   # relative forward-difference step of the shooting Jacobian
 
 
@@ -283,10 +253,13 @@ def _newton_search(u, tol, max_iter):
         lam = 1.0
         for _ in range(12):
             trial = u + lam * step
-            rt, Jt = yield trial
-            if np.linalg.norm(rt) < np.linalg.norm(r):
-                u, r, J = trial, rt, Jt
-                break
+            # a trial with T <= 0 is not shot: a closed orbit flowed
+            # backwards closes up too, and would pass as a converged one
+            if trial[2] > 0:
+                rt, Jt = yield trial
+                if np.linalg.norm(rt) < np.linalg.norm(r):
+                    u, r, J = trial, rt, Jt
+                    break
             lam *= 0.5
         else:
             raise RuntimeError("closed-geodesic Newton search stalled; "

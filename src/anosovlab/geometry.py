@@ -70,12 +70,6 @@ def mobius_deriv(M, z):
     return 1.0 / (M[1, 0] * z + M[1, 1]) ** 2
 
 
-def disk_distance(z, w):
-    num = np.abs(z - w) ** 2
-    den = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
-    return np.arccosh(1.0 + 2.0 * num / den)
-
-
 def disk_distance0(z):
     """Hyperbolic distance from the origin."""
     return 2.0 * np.arctanh(np.abs(z))
@@ -294,9 +288,8 @@ class FuchsianOctagon:
     The group is generated by eight hyperbolic translations g_k (k = 0..7)
     along the diameters at angles k*pi/4, each of translation length
     2*arccosh(1 + sqrt 2); g_{k+4} = g_k^{-1} pairs opposite sides of the
-    Dirichlet octagon centered at 0.  Internally the elements live in SU(1,1)
-    (complex 2x2 matrices acting on the disk); the ``generators`` attribute
-    exposes the conjugate real SL(2,R) matrices.
+    Dirichlet octagon centered at 0.  The elements live in SU(1,1) (complex
+    2x2 matrices acting on the disk).
     """
 
     variant = "FuchsianOctagon"
@@ -311,10 +304,6 @@ class FuchsianOctagon:
                       [b * np.exp(-1j * k * np.pi / 4), a]])
             for k in range(8)
         ]
-        # Cayley transform w = i(1+z)/(1-z): disk model -> upper half-plane
-        C = np.array([[1j, 1j], [-1.0, 1.0]]) / np.sqrt(2j)
-        Cinv = np.linalg.inv(C)
-        self.generators = [np.real(C @ g @ Cinv) for g in self.disk_generators]
         self.translation_length = 2.0 * np.arccosh(a)
         # Dirichlet-side data: orthocircle centers/radii and vertex radius
         t = np.tanh(self.translation_length / 4.0)
@@ -327,9 +316,6 @@ class FuchsianOctagon:
         self.vertex_radius = 2.0 * np.arctanh(self.vertex_radius_euclidean)
 
     # -- group operations ---------------------------------------------------
-
-    def generator(self, k):
-        return self.disk_generators[k % 8]
 
     def word_matrix(self, word):
         M = np.eye(2, dtype=complex)
@@ -556,7 +542,11 @@ def surface_from_json(doc):
                   for key in ("nx", "ny"))
         if isinstance(lam, str):
             return ConformalTorus.from_expression(lam, Lx, Ly, nx, ny)
-        return ConformalTorus(np.asarray(lam, dtype=float), Lx, Ly)
+        lam = np.asarray(lam, dtype=float)
+        if max(lam.shape, default=0) > MAX_TORUS_SIDE:
+            raise ValueError(f"the 'lambda' grid's sides must be at most "
+                             f"{MAX_TORUS_SIDE}")
+        return ConformalTorus(lam, Lx, Ly)
     if kind == "constant":
         K = doc["K"]
         if (isinstance(K, bool) or not isinstance(K, (int, float))

@@ -169,7 +169,9 @@ class TestConfigHandling:
         ("invariant", {"surface": OCTAGON, "n_modes": 10 ** 9}),
         ("invariant", {"surface": OCTAGON, "grid": 159}),
         ("invariant", {"surface": {**FLAT, "nx": 10 ** 9}}),
-        ("terminator", {"surface": {**FLAT, "ny": 513}})])
+        ("terminator", {"surface": {**FLAT, "ny": 513}}),
+        # a grid lambda is capped by its shape, not by nx and ny
+        ("terminator", {"surface": {**FLAT, "lambda": [[0.0] * 513]}})])
     def test_size_caps(self, tmp_path, command, cfg):
         start = time.perf_counter()
         rc, out = _run(tmp_path, command, cfg)

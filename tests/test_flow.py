@@ -5,36 +5,37 @@ import pytest
 
 from anosovlab import flow
 from anosovlab.geometry import UnitTangent, ConformalTorus, ConstantCurvature
-from anosovlab.flow import (CurvatureProfile, integrate_geodesic,
-                            find_closed_geodesics, curvature_profile_along,
-                            curvature_profile_window, trapping_surrogate,
-                            rk4_orbit, _rk4_ends)
+from anosovlab.flow import (CurvatureProfile, find_closed_geodesics,
+                            curvature_profile_along, curvature_profile_window,
+                            trapping_surrogate, rk4_orbit, _rk4_ends)
 
 TWO_PI = 2.0 * np.pi
 
 
 class TestIntegrator:
     def test_flat_geodesics_are_straight(self, flat_torus):
-        orb = integrate_geodesic(flat_torus, UnitTangent(1.0, 2.0, 0.7), 3.0,
-                                 dt=1e-3)
-        x, y, th = orb.end.x, orb.end.y, orb.end.theta
+        x, y, th = rk4_orbit(flat_torus, np.array([1.0, 2.0, 0.7]), 3.0,
+                             1e-3)[1][-1]
         assert abs(x - (1.0 + 3.0 * np.cos(0.7))) < 1e-10
         assert abs(y - (2.0 + 3.0 * np.sin(0.7))) < 1e-10
         assert abs(th - 0.7) < 1e-12
 
     def test_sphere_great_circle_closes(self, sphere):
         # K = +1: every geodesic closes after 2 pi
-        orb = integrate_geodesic(sphere, UnitTangent(1.0, 0.0, np.pi / 2),
-                                 TWO_PI, dt=1e-3)
-        d = orb.samples[-1] - orb.samples[0]
+        _, traj = rk4_orbit(sphere, np.array([1.0, 0.0, np.pi / 2]), TWO_PI,
+                            1e-3)
+        d = traj[-1] - traj[0]
         d[2] = np.angle(np.exp(1j * d[2]))      # theta closes mod 2 pi
         assert np.linalg.norm(d) < 1e-9
 
     def test_reversibility(self, curved_torus):
-        start = UnitTangent(0.4, 1.1, 0.3)
-        fwd = integrate_geodesic(curved_torus, start, 2.0, dt=1e-3)
-        back = integrate_geodesic(curved_torus, fwd.end, -2.0, dt=1e-3)
-        assert np.linalg.norm(back.samples[0] - start.as_array()) < 1e-10
+        # flow forward, turn theta by pi, flow forward again, turn back
+        start = np.array([0.4, 1.1, 0.3])
+        end = rk4_orbit(curved_torus, start, 2.0, 1e-3)[1][-1]
+        end[2] += np.pi
+        back = rk4_orbit(curved_torus, end, 2.0, 1e-3)[1][-1]
+        back[2] = np.mod(back[2] - np.pi, TWO_PI)
+        assert np.linalg.norm(back - start) < 1e-10
 
     def test_fourth_order_convergence(self, curved_torus):
         start = np.array([0.4, 1.1, 0.3])
@@ -144,9 +145,9 @@ class TestIntegrator:
 
     def test_octagon_generator_orbit_closes(self, octagon):
         geo = octagon.closed_geodesic_from_word([0])
-        start = geo.start
-        orb = integrate_geodesic(octagon, start, geo.period, dt=1e-3)
-        d = np.linalg.norm(orb.samples[-1][:2] - geo.samples[0][:2])
+        end = rk4_orbit(octagon, geo.start.as_array(), geo.period,
+                        1e-3)[1][-1]
+        d = np.linalg.norm(end[:2] - geo.samples[0][:2])
         assert d < 1e-6
 
 
@@ -181,10 +182,11 @@ def _newton_oracle(model, homotopy, tol, max_iter=60):
         lam = 1.0
         for _ in range(12):
             trial = u + lam * step
-            rt = resid(trial)
-            if np.linalg.norm(rt) < np.linalg.norm(r):
-                u, r = trial, rt
-                break
+            if trial[2] > 0:    # no shot with T <= 0
+                rt = resid(trial)
+                if np.linalg.norm(rt) < np.linalg.norm(r):
+                    u, r = trial, rt
+                    break
             lam *= 0.5
         else:
             raise RuntimeError("stalled")
@@ -275,6 +277,25 @@ class TestClosedGeodesics:
             assert np.array_equal(geo.samples,
                                   np.column_stack([x, y, traj[:-1, 2]]))
 
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_orbits_flow_forwards(self, grid):
+        # on lambda = -2.5 + 0.2 cos x sin y a Newton step once took (1, 0)
+        # to T < 0, where the orbit flowed backwards from theta0 ~ pi closes
+        # too: it converged with period -0.48 (32 x 32 grid values) or -0.58
+        # (the expression)
+        if grid:
+            x = np.arange(32) * (TWO_PI / 32)
+            X, Y = np.meshgrid(x, x, indexing="ij")
+            t = ConformalTorus(-2.5 + 0.2 * np.cos(X) * np.sin(Y), TWO_PI,
+                               TWO_PI)
+        else:
+            t = ConformalTorus.from_expression("-2.5 + 0.2*cos(x)*sin(y)",
+                                               TWO_PI, TWO_PI, 32, 32)
+        classes = [(1, 0), (0, 1), (1, 1)]
+        for hom, geo in zip(classes, find_closed_geodesics(t, classes)):
+            assert geo.period > 0 and geo.dt > 0
+            assert geo.period == _newton_oracle(t, hom, tol=1e-10)[2]
+
     def test_flat_torus_homotopy_classes(self, flat_torus):
         geo = find_closed_geodesics(flat_torus, (1, 0))
         assert abs(geo.period - TWO_PI) < 1e-8
@@ -360,12 +381,11 @@ class TestCurvatureProfiles:
                                         UnitTangent(0.1, 0.2, 0.5), 10.0)
         assert abs(prof.T - 10.0) <= prof.dt + 1e-12
         assert np.max(np.abs(prof.K_samples)) < 0.3
-        orbit = integrate_geodesic(curved_torus, UnitTangent(0.1, 0.2, 0.5),
-                                   10.0, 5e-3)
-        pointwise = [curved_torus.curvature_at((x, y))
-                     for x, y, _ in orbit.samples]
+        ts, traj = rk4_orbit(curved_torus, np.array([0.1, 0.2, 0.5]), 10.0,
+                             5e-3)
+        pointwise = [curved_torus.curvature_at((x, y)) for x, y, _ in traj]
         assert np.array_equal(prof.K_samples, pointwise)
-        assert prof.dt == orbit.dt
+        assert prof.dt == ts[1]
 
     def test_window_batch_equals_single_windows(self, curved_torus):
         starts = np.array([[0.1, 0.2, 0.5], [3.0, 5.9, 4.0],
@@ -373,13 +393,12 @@ class TestCurvatureProfiles:
         batch = curvature_profile_window(curved_torus, starts, 10.0)
         assert len(batch) == len(starts)
         for s, prof in zip(starts, batch):
-            orbit = integrate_geodesic(curved_torus, UnitTangent(*s), 10.0,
-                                       5e-3)
+            ts, traj = rk4_orbit(curved_torus, s, 10.0, 5e-3)
             pointwise = [curved_torus.curvature_at((x, y))
-                         for x, y, _ in orbit.samples]
+                         for x, y, _ in traj]
             assert np.array_equal(prof.K_samples, pointwise)
             assert (prof.dt, prof.periodic, prof.name) == \
-                   (orbit.dt, False, "window:10.0")
+                   (ts[1], False, "window:10.0")
         assert np.array_equal(
             curvature_profile_window(curved_torus, starts[1], 10.0).K_samples,
             batch[1].K_samples)

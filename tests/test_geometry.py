@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from anosovlab.geometry import (ConformalTorus, ConstantCurvature,
                                 FuchsianOctagon, mobius, mobius_deriv,
-                                disk_distance, disk_distance0, resample,
-                                surface_from_json)
+                                disk_distance0, resample, surface_from_json)
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
@@ -211,13 +210,6 @@ class TestPeriodicBicubic:
 
 
 class TestDiskModel:
-    @given(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
-    @settings(max_examples=50, deadline=None)
-    def test_distance_symmetry(self, a, b):
-        z, w = a + 0.1j, 0.05 + b * 1j
-        if abs(z) < 0.99 and abs(w) < 0.99:
-            assert np.isclose(disk_distance(z, w), disk_distance(w, z))
-
     def test_distance_origin_formula(self):
         r = 0.5
         assert np.isclose(disk_distance0(r), 2.0 * np.arctanh(r))
@@ -236,8 +228,6 @@ class TestDiskModel:
 
 class TestOctagon:
     def test_generators_unimodular(self, octagon):
-        for M in octagon.generators:
-            assert abs(np.linalg.det(M) - 1.0) < 1e-12
         for M in octagon.disk_generators:
             assert abs(np.linalg.det(M) - 1.0) < 1e-12
 
