@@ -328,7 +328,8 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60,
                     orbit = OrbitWindows(orbit.traj[0], orbit.T, orbit.T / 256)
                     orbit.finish(model)
                 x, y, theta = orbit.traj[:-1, 0].T
-                samples = np.column_stack([*model.wrap(x, y), theta])
+                samples = np.column_stack([*model.wrap(x, y),
+                                           np.mod(theta, TWO_PI)])
                 geos[i] = ClosedGeodesic(model=model, period=float(orbit.T),
                                          samples=samples, dt=float(orbit.h),
                                          source="torus-shooting")

@@ -635,18 +635,17 @@ class _LadderOperator:
 
         Returns the in-mode stack h, the squared weighted residual of each
         output mode, and lsqr's stop reason ``istop`` and iteration count."""
-        from scipy.sparse.linalg import lsqr, LinearOperator
+        from .lsqr import lsqr
 
         ch = self.ch
         rhs = rhs * ch.sqrt_w
         self._build_precond()
-        AN = LinearOperator(self.shape, matvec=self.precond_matvec,
-                            rmatvec=self.precond_rmatvec, dtype=complex)
-        res = lsqr(AN, rhs.ravel(), damp=np.sqrt(reg), atol=LSQR_ATOL,
-                   btol=1e-14, iter_lim=iter_lim)
-        h = self._from_fourier(res[0]) / ch.sqrt_w
+        y, istop, itn = lsqr(self.precond_matvec, self.precond_rmatvec,
+                             rhs.ravel(), self.shape[1], np.sqrt(reg),
+                             LSQR_ATOL, 1e-14, iter_lim)
+        h = self._from_fourier(y) / ch.sqrt_w
         r2 = _rows2(self._forward(h * ch.sqrt_w) - rhs)
-        return h, r2, int(res[1]), int(res[2])
+        return h, r2, istop, itn
 
 
 def _rows2(stack):
@@ -665,8 +664,9 @@ def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
 
     P* = XV and Q* = XVT in this convention (adjoints up to sign of the
     paper's P = VX, which is what the constructions consume); h is the
-    min-norm ridge minimizer over the truncation and the residual is
-    reported.  f_0 must be orthogonal to constants for m = 0."""
+    min-norm ridge minimizer over the truncation.  Returns h, the relative
+    residual, and lsqr's stop as ``{"istop", "iterations"}``.  f_0 must be
+    orthogonal to constants for m = 0."""
     ch = f.chart
     N = n_modes or max(8, f.n_modes + 4)
     in_ks = [k for k in range(-N, N + 1)]
@@ -680,10 +680,11 @@ def solve_adjoint_transport(f, m=0, reg=1e-10, n_modes=None, iter_lim=400):
     # T: Q* leaves the output modes |k| <= m out
     out_ks = [k for k in range(-N - 1, N + 2) if m == 0 or abs(k) >= m + 1]
     rhs = np.array([f.get(k) for k in out_ks])
-    h, r2, _, _ = _LadderOperator(ch, in_ks, out_ks, V_power=1).solve(
+    h, r2, istop, itn = _LadderOperator(ch, in_ks, out_ks, V_power=1).solve(
         rhs, reg=reg, iter_lim=iter_lim)
-    return SMField.from_array(ch, h), _relative_residual(
-        r2, _rows2(rhs * ch.sqrt_w))
+    return (SMField.from_array(ch, h),
+            _relative_residual(r2, _rows2(rhs * ch.sqrt_w)),
+            {"istop": istop, "iterations": itn})
 
 
 # ----------------------------------------------------------------------------

@@ -675,15 +675,28 @@ class TestImportFootprint:
         ("anosov", {"surface": CURVED, "beta_max": 0.0625, "tol": 0.0625}),
         ("terminator", {"surface": dict(CURVED, nx=16, ny=16)})])
     def test_torus_run_loads_no_scipy(self, tmp_path, command, cfg):
-        path = _write(tmp_path, f"{command}.json", cfg)
-        out = _fresh_python(
-            "import sys\n"
-            "from anosovlab import cli\n"
-            f"rc = cli.main([{command!r}, '--config', {path!r}, '--out',\n"
-            f"               {str(tmp_path / 'out')!r}])\n"
-            "print(rc, sorted(m for m in sys.modules\n"
-            "                 if m == 'scipy' or m.startswith('scipy.')))\n")
-        assert out.strip().split(maxsplit=1) == [str(cli.EXIT_OK), "[]"]
+        assert _run_scipy_modules(tmp_path, command, cfg) == [
+            str(cli.EXIT_OK), "[]"]
+
+    def test_invariant_run_loads_no_scipy(self, tmp_path):
+        # the ladder least squares runs the package's own LSQR
+        cfg = {"surface": OCTAGON, "grid": 16, "n_modes": 4}
+        assert _run_scipy_modules(tmp_path, "invariant", cfg) == [
+            str(cli.EXIT_OK), "[]"]
+
+
+def _run_scipy_modules(tmp_path, command, cfg):
+    """[exit code, SciPy modules loaded] of ``command`` on ``cfg``, run
+    through cli.main in a new interpreter."""
+    path = _write(tmp_path, f"{command}.json", cfg)
+    out = _fresh_python(
+        "import sys\n"
+        "from anosovlab import cli\n"
+        f"rc = cli.main([{command!r}, '--config', {path!r}, '--out',\n"
+        f"               {str(tmp_path / 'out')!r}])\n"
+        "print(rc, sorted(m for m in sys.modules\n"
+        "                 if m == 'scipy' or m.startswith('scipy.')))\n")
+    return out.strip().split(maxsplit=1)
 
 
 # bit patterns of float64 values that compare equal but print apart, or

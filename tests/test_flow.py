@@ -253,14 +253,14 @@ class TestClosedGeodesics:
     def test_closed_orbit_is_the_recorded_rk4_orbit(self, curved_torus,
                                                     single_class_geos):
         # the orbit recorded in the last Newton round is rk4_orbit from the
-        # oracle's converged start, wrapped into the torus box
+        # oracle's converged start, wrapped into the torus box, theta mod 2 pi
         y0, th0, T = _newton_oracle(curved_torus, (0, 1), tol=1e-9)
         geo = single_class_geos[(0, 1)]
         n = len(geo.samples)
         _, traj = rk4_orbit(curved_torus, np.array([0.0, y0, th0]), T, T / n)
         x, y = curved_torus.wrap(traj[:-1, 0], traj[:-1, 1])
-        assert np.array_equal(geo.samples,
-                              np.column_stack([x, y, traj[:-1, 2]]))
+        assert np.array_equal(geo.samples, np.column_stack(
+            [x, y, np.mod(traj[:-1, 2], TWO_PI)]))
 
     def test_short_orbits_keep_256_samples(self):
         # e^lambda ~ e^-2 takes every class below 256 steps of its dt, so
@@ -274,8 +274,8 @@ class TestClosedGeodesics:
             _, traj = rk4_orbit(t, np.array([0.0, y0, th0]), T, T / 256)
             x, y = t.wrap(traj[:-1, 0], traj[:-1, 1])
             assert len(geo.samples) == 256
-            assert np.array_equal(geo.samples,
-                                  np.column_stack([x, y, traj[:-1, 2]]))
+            assert np.array_equal(geo.samples, np.column_stack(
+                [x, y, np.mod(traj[:-1, 2], TWO_PI)]))
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_orbits_flow_forwards(self, grid):
@@ -295,6 +295,11 @@ class TestClosedGeodesics:
         for hom, geo in zip(classes, find_closed_geodesics(t, classes)):
             assert geo.period > 0 and geo.dt > 0
             assert geo.period == _newton_oracle(t, hom, tol=1e-10)[2]
+            # the Newton steps in theta0 can jump by whole turns (to 18.85
+            # for (1, 0) and -43.20 for (1, 1) on the grid values); the
+            # samples store theta reduced, as x and y are
+            theta = geo.samples[:, 2]
+            assert np.all((theta >= 0) & (theta < TWO_PI))
 
     def test_flat_torus_homotopy_classes(self, flat_torus):
         geo = find_closed_geodesics(flat_torus, (1, 0))
