@@ -109,12 +109,11 @@ def _jacobi_horizon(T_max, dt):
 
 def _max_abs_curvature(model):
     """max|K| of a surface, known once it is built, and what it is read
-    from: the constant K of a constant or octagon surface, the spectral
-    curvature grid of a torus."""
-    from .geometry import ConformalTorus
-    if isinstance(model, ConformalTorus):
+    from: the constant curvature K0 of a constant or octagon surface, the
+    spectral curvature grid of a torus."""
+    if model.K0 is None:
         return float(np.max(np.abs(model.K_grid))), "max|K_grid|"
-    return abs(model.curvature_at((0.0, 0.0))), "|K|"
+    return abs(model.K0), "|K|"
 
 
 def _check_step_phase(max_abs_K, which, beta_max, T_max, dt):
@@ -161,11 +160,6 @@ def _int_key(cfg, key, default, lo, hi=None):
         bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{key!r} must be an integer {bound}")
     return val
-
-
-def _torus_grid(model, grid):
-    """Torus chart side: at least nx and ny (the resample only upsamples)."""
-    return max(grid, model.nx, model.ny)
 
 
 def _check_field_size(n_modes, grid):
@@ -266,7 +260,6 @@ class _Out:
 
 
 def cmd_pestov(cfg, out, seed):
-    from .geometry import ConformalTorus, FuchsianOctagon, ConstantCurvature
     from . import smfourier as sf
 
     n_fields = _int_key(cfg, "n_fields", 5, 1, MAX_FIELDS)
@@ -274,20 +267,14 @@ def cmd_pestov(cfg, out, seed):
     band = _int_key(cfg, "spatial_band", 4, 0)
     n_grid = _int_key(cfg, "grid", 64, 2 * band + 1)
     model = _surface(cfg)
-    if isinstance(model, ConformalTorus):
-        n_grid = _torus_grid(model, n_grid)
+    n_grid = sf.chart_side(model, n_grid)
     _check_field_size(n_modes, 2 * n_grid)
     rng = np.random.default_rng(seed)
-
-    if isinstance(model, ConformalTorus):
-        charts = [sf.Chart.from_torus(model, n) for n in (n_grid, 2 * n_grid)]
-        window = None
-    elif isinstance(model, (FuchsianOctagon, ConstantCurvature)):
-        charts = [sf.Chart.disk_patch(model, half_width=0.55, n=n)
-                  for n in (n_grid, 2 * n_grid)]
-        window = [sf._patch_window(ch) for ch in charts]
-    else:
-        raise ConfigError(f"unsupported surface {type(model).__name__}")
+    try:    # a strongly curved surface's chart is too small for the patch
+        charts, windows = zip(*(sf.surface_chart(model, n)
+                                for n in (n_grid, 2 * n_grid)))
+    except ValueError as e:
+        raise ConfigError(str(e))
 
     residuals = np.empty((n_fields, len(charts)))
     for i in range(n_fields):
@@ -297,8 +284,8 @@ def cmd_pestov(cfg, out, seed):
             rng.bit_generator.state = state
             u = sf.SMField.random_real(ch, n_modes=n_modes,
                                        spatial_band=band, rng=rng)
-            if window is not None:
-                u = sf.SMField.from_array(ch, u.data * window[j])
+            if windows[j] is not None:
+                u = sf.SMField.from_array(ch, u.data * windows[j])
             residuals[i, j] = sf.pestov_residual(u)
     out.csv("pestov_residuals.csv", {
         "field": np.repeat(np.arange(n_fields), len(charts)),
@@ -400,8 +387,7 @@ def cmd_invariant(cfg, out, seed):
     model = _surface(cfg)
     if not isinstance(model, (FuchsianOctagon, ConformalTorus)):
         raise ConfigError(f"unsupported surface {type(model).__name__}")
-    if isinstance(model, ConformalTorus):
-        grid = _torus_grid(model, grid)
+    grid = sf.chart_side(model, grid)
     _check_field_size(n_modes, grid)
     reg = float(cfg.get("reg", 1e-12))
     rng = np.random.default_rng(seed)
@@ -467,8 +453,8 @@ def cmd_gulliver(cfg, out, seed):
         tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt)
     out.json("gulliver_params.json", params.to_json())
     out.json("terminator_certificate.json", cert.to_json())
-    ts = np.arange(0.0, profile.T, profile.dt)
-    out.csv("profile.csv", {"t": ts, "K": profile(ts)})
+    ts = np.arange(len(profile.K_samples)) * profile.dt
+    out.csv("profile.csv", {"t": ts, "K": profile.K_samples})
     return EXIT_OK
 
 

@@ -15,8 +15,8 @@ transparent to the dynamics).
 import numpy as np
 from dataclasses import dataclass
 
-from .geometry import (ClosedGeodesic, ConformalTorus, ConstantCurvature,
-                       FuchsianOctagon, UnitTangent, TWO_PI, grid_nodes)
+from .geometry import (ClosedGeodesic, ConformalTorus, FuchsianOctagon,
+                       UnitTangent, TWO_PI, grid_nodes)
 
 
 @dataclass
@@ -212,7 +212,7 @@ class OrbitWindows(_Rider):
         """Finish, then return the aperiodic curvature profile along each
         of the (k, 3) starts' windows."""
         self.finish(model)
-        K = _curvature_samples(model, self.traj.reshape(-1, 3))
+        K = model.curvature(*self.traj.reshape(-1, 3)[:, :2].T)
         K = np.ascontiguousarray(K.reshape(self.traj.shape[:-1]).T)
         return [CurvatureProfile(k, self.h, periodic=False,
                                  name=f"window:{self.T}") for k in K]
@@ -348,14 +348,13 @@ def find_closed_geodesics(model, homotopy, tol=1e-10, max_iter=60,
 def curvature_profile_along(model, geo):
     """Periodic curvature profile K(t) along a closed geodesic.
 
-    Octagon word-geodesics are resampled analytically from the axis, so the
-    profile inherits no integrator error (K is -1 there anyway); other models
-    evaluate curvature at the stored samples."""
-    K = _curvature_samples(model, geo.samples)
+    K is sampled at the stored samples; on a model of constant curvature K0
+    the profile also evaluates K(t) = K0 exactly between them."""
+    K = model.curvature(geo.samples[:, 0], geo.samples[:, 1])
     K_fn = None
-    if isinstance(model, (ConstantCurvature, FuchsianOctagon)):
-        K0 = model.curvature_at((0.0, 0.0))
-        K_fn = lambda t, K0=K0: np.full_like(np.asarray(t, dtype=float), K0)
+    if model.K0 is not None:
+        K_fn = lambda t, K0=model.K0: np.full_like(np.asarray(t, dtype=float),
+                                                   K0)
     return CurvatureProfile(K, geo.dt, periodic=True, K_fn=K_fn,
                             name=f"{geo.source}:{geo.word or ''}")
 
@@ -373,16 +372,6 @@ def curvature_profile_window(model, start, T_window, dt=5e-3):
     return profiles[0] if single else profiles
 
 
-def _curvature_samples(model, samples):
-    """K at the positions of (n, 3) SM samples, in one vectorised call; the
-    same values as ``model.curvature_at`` point by point."""
-    if isinstance(model, ConformalTorus):
-        return model.curvature(samples[:, 0], samples[:, 1])
-    if isinstance(model, (ConstantCurvature, FuchsianOctagon)):
-        return np.full(len(samples), float(model.curvature_at((0.0, 0.0))))
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
 class TrappingWatch(_Rider):
     """Finite surrogate for "no geodesic trapped in zero curvature": n_dir
     random orbits over [0, T_window], trapping flagged if one sees max |K| <
@@ -397,22 +386,22 @@ class TrappingWatch(_Rider):
         self.model, self.n_dir = model, n_dir
         self.T_window, self.kappa_floor = T_window, kappa_floor
         self.n = self.i = 0
-        self.uniform = isinstance(model, (ConstantCurvature, FuchsianOctagon))
+        self.uniform = model.K0 is not None
         if self.uniform:
-            self.max_abs_K = np.full(n_dir, abs(model.curvature_at((0, 0))))
+            self.max_abs_K = np.full(n_dir, abs(model.K0))
             return
         rng = np.random.default_rng(seed)
         self.states = np.column_stack([rng.uniform(0, L, n_dir) for L in
                                        (model.Lx, model.Ly, TWO_PI)])
         self.n, self.h = _n_steps(T_window, dt)
-        self.max_abs_K = np.abs(_curvature_samples(model, self.states))
+        self.max_abs_K = np.abs(model.curvature(*self.states[:, :2].T))
 
     def take(self, states):
         """Fold |K| at the states the next step reaches into the maxima."""
         self.i += 1
         self.states = states
         np.maximum(self.max_abs_K,
-                   np.abs(_curvature_samples(self.model, states)),
+                   np.abs(self.model.curvature(*states[:, :2].T)),
                    out=self.max_abs_K)
 
     def report(self):

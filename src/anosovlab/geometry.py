@@ -148,10 +148,13 @@ class ConformalTorus:
     interpolant is built on its first use.
     """
 
-    variant = "ConformalTorus"
+    K0 = None       # its curvature varies
 
     def __init__(self, lam_grid, Lx, Ly, lam_fn=None):
         lam_grid = np.asarray(lam_grid, dtype=float)
+        if lam_grid.ndim != 2 or min(lam_grid.shape) < 1:
+            raise ValueError("the lambda grid must be 2-D with both sides "
+                             f"at least 1, not of shape {lam_grid.shape}")
         if not np.all(np.isfinite(lam_grid)):
             raise ValueError("lambda grid contains non-finite values")
         self.lam_grid = lam_grid
@@ -159,8 +162,12 @@ class ConformalTorus:
         self.Lx, self.Ly = float(Lx), float(Ly)
         self._lam_fn = lam_fn  # (x, y) -> [lam, lam_x, lam_y], or None
 
-        self.lam_x_grid, self.lam_y_grid, self.K_grid = spectral_calculus(
-            lam_grid, self.Lx, self.Ly)
+        with np.errstate(all="ignore"):     # a tiny box overflows them
+            calculus = spectral_calculus(lam_grid, self.Lx, self.Ly)
+        if not np.all(np.isfinite(calculus)):
+            raise ValueError("lambda_x, lambda_y or K is not finite on the "
+                             f"{self.Lx:.3g} x {self.Ly:.3g} box")
+        self.lam_x_grid, self.lam_y_grid, self.K_grid = calculus
         self._interpolants = {}
 
     @classmethod
@@ -252,19 +259,31 @@ class ConformalTorus:
 # constant curvature chart
 
 
-class ConstantCurvature:
+class _DiskChart:
+    """A surface of constant curvature ``K0`` in a conformal chart about 0
+    that is valid on the disk r < ``chart_radius``."""
+
+    def curvature(self, x, y):
+        """Gaussian curvature at arbitrary points (vectorized): K0."""
+        return np.full(np.broadcast(x, y).shape, self.K0)
+
+    def curvature_at(self, p):
+        return self.K0
+
+
+class ConstantCurvature(_DiskChart):
     """Local conformal chart lam = log(2/(1 + K0 r^2)) of constant curvature K0.
 
     For K0 < 0 the chart is valid on r < 1/sqrt(-K0) (Poincare-type disk);
     for K0 >= 0 it covers the whole plane (stereographic sphere / flat plane).
     """
 
-    variant = "ConstantCurvature"
-
     def __init__(self, K0):
         if not np.isfinite(K0):
             raise ValueError("K0 must be finite")
         self.K0 = float(K0)
+        self.chart_radius = (1.0 / np.sqrt(-self.K0) if self.K0 < 0
+                             else np.inf)
 
     def lam_and_grad(self, x, y):
         q = 1.0 + self.K0 * (np.asarray(x) ** 2 + np.asarray(y) ** 2)
@@ -274,15 +293,12 @@ class ConstantCurvature:
     def wrap(self, x, y):
         return x, y
 
-    def curvature_at(self, p):
-        return self.K0
-
 
 # ----------------------------------------------------------------------------
 # genus-2 octagon
 
 
-class FuchsianOctagon:
+class FuchsianOctagon(_DiskChart):
     """The regular-octagon genus-2 hyperbolic surface.
 
     The group is generated by eight hyperbolic translations g_k (k = 0..7)
@@ -292,7 +308,8 @@ class FuchsianOctagon:
     2x2 matrices acting on the disk).
     """
 
-    variant = "FuchsianOctagon"
+    K0 = -1.0
+    chart_radius = 1.0     # the Poincare disk
     # surface-group relation: g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 = identity
     RELATION = (0, 5, 2, 7, 4, 1, 6, 3)
 
@@ -336,9 +353,6 @@ class FuchsianOctagon:
         q = 1.0 - r2
         return (np.log(2.0) - np.log(q), 2.0 * np.asarray(x) / q,
                 2.0 * np.asarray(y) / q)
-
-    def curvature_at(self, p):
-        return -1.0
 
     def contains(self, z, margin=0.0):
         """Dirichlet test: z is no farther from 0 than from any g_k(0)'s pull."""
@@ -510,6 +524,11 @@ class FuchsianOctagon:
 # PeriodicBicubic tables 128 B a grid point and grid: 34 MB for K at 512,
 # 101 MB more for lam and its gradient on a grid-built torus
 MAX_TORUS_SIDE = 512
+# the largest torus box side Lx or Ly: geodesic lengths, and with them the
+# RK4 steps of the closed-geodesic shooting, grow with the box.  anosov on
+# a flat 8 x 8 torus (2-CPU Xeon, one BLAS thread) took 4.8 s and 98 MB
+# at Lx = Ly = 100, 13 s and 120 MB at 300, and more than 200 s at 1e3
+MAX_TORUS_BOX = 100.0
 
 
 def _positive(doc, key, default, kind, hi=sys.float_info.max):
@@ -537,7 +556,8 @@ def surface_from_json(doc):
     kind = doc.get("type")
     if kind == "conformal_torus":
         lam = doc["lambda"]
-        Lx, Ly = (_positive(doc, key, TWO_PI, float) for key in ("Lx", "Ly"))
+        Lx, Ly = (_positive(doc, key, TWO_PI, float, MAX_TORUS_BOX)
+                  for key in ("Lx", "Ly"))
         nx, ny = (_positive(doc, key, 64, int, MAX_TORUS_SIDE)
                   for key in ("nx", "ny"))
         if isinstance(lam, str):

@@ -19,8 +19,8 @@ import os
 
 import numpy as np
 
-from .geometry import (ConstantCurvature, FuchsianOctagon, TWO_PI, grid_nodes,
-                       resample, spectral_calculus, wavenumbers)
+from .geometry import (ConstantCurvature, TWO_PI, grid_nodes, resample,
+                       spectral_calculus, wavenumbers)
 
 
 class Chart:
@@ -68,23 +68,19 @@ class Chart:
 
     @classmethod
     def disk_patch(cls, model, half_width=1.0, n=128):
-        """Box chart [-L/2, L/2]^2 around a constant-curvature/octagon chart
-        center; lam and its calculus are analytic (lam is not box-periodic, so
-        only compactly supported fields should live here)."""
-        lim = np.inf
-        if isinstance(model, FuchsianOctagon):
-            lim = 1.0
-        elif isinstance(model, ConstantCurvature) and model.K0 < 0:
-            lim = 1.0 / np.sqrt(-model.K0)
-        if half_width * np.sqrt(2.0) >= lim:
-            raise ValueError("box corners leave the model's chart domain; "
-                             f"need half_width < {lim / np.sqrt(2.0):.4f}")
+        """Box chart [-L/2, L/2]^2 around the chart center of a model of
+        constant curvature K0; lam and its calculus are analytic (lam is not
+        box-periodic, so only compactly supported fields should live here)."""
+        r = model.chart_radius
+        if half_width * np.sqrt(2.0) >= r:
+            raise ValueError(f"box corners leave the chart of radius {r:.4f};"
+                             f" need half_width < {r / np.sqrt(2.0):.4f}")
         L = 2.0 * half_width
         xs = grid_nodes(-half_width, n, L)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         lam, lam_x, lam_y = (np.broadcast_to(a, X.shape).copy()
                              for a in model.lam_and_grad(X, Y))
-        chart = cls(lam, L, L, (lam_x, lam_y, model.curvature_at((0.0, 0.0))))
+        chart = cls(lam, L, L, (lam_x, lam_y, model.K0))
         chart.patch = (model, half_width)
         return chart
 
@@ -319,18 +315,14 @@ def pestov_residual(u):
 
 def _deflate_gep(A, B):
     """Smallest eigenvalue of A v = mu B v after projecting out B's
-    near-null space (eigenvalues <= 1e-10 max: constants etc.)."""
-    from scipy.linalg import eigh
-
-    evals, evecs = eigh(B)
+    near-null space (eigenvalues <= 1e-10 max: constants etc.): B is I
+    on its kept eigenvectors scaled by 1/sqrt(eigenvalue)."""
+    evals, evecs = np.linalg.eigh(B)
     keep = evals > 1e-10 * max(evals.max(), 1e-300)
     if not np.any(keep):
         raise ValueError("test space entirely in the null space of ||X.||^2")
-    W = evecs[:, keep]
-    Ar = W.conj().T @ A @ W
-    Br = W.conj().T @ B @ W
-    mus = eigh(Ar, Br, eigvals_only=True)
-    return float(mus[0])
+    W = evecs[:, keep] / np.sqrt(evals[keep])
+    return float(np.linalg.eigvalsh(W.conj().T @ A @ W)[0])
 
 
 def alpha_lower_bound(model, n_modes=3, spatial_band=2, n_grid=48):
@@ -342,10 +334,6 @@ def alpha_lower_bound(model, n_modes=3, spatial_band=2, n_grid=48):
     fundamental-domain chart (the window keeps the test fields supported
     inside the octagon, so they are genuine fields on the surface);
     constant-curvature models reduce algebraically (K constant)."""
-    if isinstance(model, FuchsianOctagon):
-        ch = Chart.disk_patch(model, half_width=0.55, n=n_grid)
-        return _alpha_gep_on_chart(ch, n_modes, spatial_band,
-                                   window=_patch_window(ch))
     if isinstance(model, ConstantCurvature):
         # (K psi, psi) = K0 ||psi||^2, so the Rayleigh quotient is
         # 1 - K0 ||psi||^2 / ||X psi||^2; for K0 <= 0 the infimum over any
@@ -354,9 +342,8 @@ def alpha_lower_bound(model, n_modes=3, spatial_band=2, n_grid=48):
             return 1.0
         raise ValueError("positively curved constant models are not "
                          "alpha-controlled for any alpha > 0 on large spaces")
-    # the chart side covers nx and ny: the spectral resample only upsamples
-    ch = Chart.from_torus(model, max(n_grid, model.nx, model.ny))
-    return _alpha_gep_on_chart(ch, n_modes, spatial_band)
+    ch, window = surface_chart(model, n_grid)
+    return _alpha_gep_on_chart(ch, n_modes, spatial_band, window)
 
 
 def bump(t):
@@ -376,12 +363,29 @@ def _patch_window(ch):
     return bump((X ** 2 + Y ** 2) / r0 ** 2)
 
 
+def chart_side(model, n):
+    """The grid side of ``surface_chart(model, n)``: n, raised on a torus
+    to its own nx and ny, since the spectral resample only upsamples."""
+    return n if model.K0 is not None else max(n, model.nx, model.ny)
+
+
+def surface_chart(model, n):
+    """(chart, window): the SM chart serving ``model`` at grid side n, and
+    the window its fields are multiplied by, or None.  A torus is its own
+    chart; a surface of constant curvature K0 gets the disk patch of
+    half-width 0.55 about 0, where a field is windowed by ``_patch_window``
+    (lam is not periodic on the box)."""
+    if model.K0 is None:
+        return Chart.from_torus(model, chart_side(model, n)), None
+    ch = Chart.disk_patch(model, half_width=0.55, n=n)
+    return ch, _patch_window(ch)
+
+
 def octagon_mode0_field(model, rng=None, spatial_band=2, n=48):
     """A random real mode-0 SMField compactly supported inside the octagon,
     on a fundamental-domain box chart (window x low trig polynomial)."""
     rng = rng or np.random.default_rng()
-    ch = Chart.disk_patch(model, half_width=0.55, n=n)
-    win = _patch_window(ch)
+    ch, win = surface_chart(model, n)
     X, Y = ch.mesh(0.0)
     f0 = np.zeros_like(win, dtype=complex)
     for m in range(-spatial_band, spatial_band + 1):

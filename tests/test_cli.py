@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,35 @@ class TestConfigHandling:
         assert repr(next(iter(extra))) in capsys.readouterr().err
         assert time.perf_counter() - start < 5.0    # before any work
 
+    @pytest.mark.parametrize("command", ["anosov", "terminator", "pestov",
+                                         "invariant"])
+    @pytest.mark.parametrize("surface", [
+        # a 1 x 0 grid has no wavenumbers
+        {"type": "conformal_torus", "lambda": [[]]},
+        # on a tiny box the wavenumbers overflow, and K_grid is NaN
+        *({"type": "conformal_torus", "nx": 8, "ny": 8, "lambda": lam,
+           "Lx": Lx} for lam in ("0", "sin(x)") for Lx in (1e-300, 1e-160))])
+    def test_torus_the_spectral_calculus_cannot_hold(self, tmp_path, capsys,
+                                                     command, surface):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = _run(tmp_path, command, {"surface": surface})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        assert "invalid surface spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("Lx", [1e300, math.nextafter(100.0, math.inf)])
+    def test_torus_box_capped(self, tmp_path, capsys, Lx):
+        # anosov's closed-geodesic shooting grows with the box: 13 s at
+        # Lx = Ly = 300 on this flat torus, more than 200 s at 1e3
+        start = time.perf_counter()
+        rc, out = _run(tmp_path, "anosov", {"surface": {**FLAT, "nx": 8,
+                                                        "ny": 8, "Lx": Lx}})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        assert "'Lx'" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0    # before any work
+
     def test_workers_option_is_gone(self, tmp_path):
         path = _write(tmp_path, "cfg.json", {"surface": SPHERE})
         with pytest.raises(SystemExit):
@@ -413,6 +443,23 @@ class TestCommands:
         assert rc == cli.EXIT_OK
         rows = (out / "pestov_residuals.csv").read_text().split()[1:]
         assert [r.split(",")[1] for r in rows] == ["32", "64"]
+
+    def test_pestov_disk_patch_inside_the_chart(self, tmp_path, capsys):
+        # the 0.55 disk patch's corners lie 0.7778 from its centre: inside
+        # the chart of radius 1/sqrt(-K) for K = -1.65, outside for K below
+        # -1/(2 0.55^2) = -1.653
+        cfg = {"n_fields": 1, "n_modes": 2, "spatial_band": 1, "grid": 8}
+        for K in (-1.66, -4.0):
+            surface = {"type": "constant", "K": K}
+            rc, out = _run(tmp_path, "pestov", {"surface": surface, **cfg},
+                           sub=f"out{K}")
+            assert rc == cli.EXIT_CONFIG
+            assert not out.exists() or not any(out.iterdir())
+            assert "chart of radius" in capsys.readouterr().err
+        surface = {"type": "constant", "K": -1.65}
+        rc, out = _run(tmp_path, "pestov", {"surface": surface, **cfg})
+        assert rc == cli.EXIT_OK
+        assert (out / "pestov_report.json").exists()
 
     def test_invariant_torus_grid_below_nx(self, tmp_path):
         # the README torus (nx 64) with the default grid, 48
@@ -677,6 +724,20 @@ class TestImportFootprint:
     def test_torus_run_loads_no_scipy(self, tmp_path, command, cfg):
         assert _run_scipy_modules(tmp_path, command, cfg) == [
             str(cli.EXIT_OK), "[]"]
+
+    def test_alpha_estimates_load_no_scipy(self):
+        # the deflated GEP of the alpha estimates runs on numpy's eigh
+        out = _fresh_python(
+            "import sys\n"
+            "import numpy as np\n"
+            "from anosovlab import flow, geometry, smfourier as sf\n"
+            "a = sf.alpha_lower_bound(geometry.FuchsianOctagon(), n_modes=1,\n"
+            "                         spatial_band=1, n_grid=16)\n"
+            "b = sf.alpha_lower_bound_profile(\n"
+            "    flow.CurvatureProfile.constant(-1.0), n_freq=8)\n"
+            "print(np.isfinite([a, b]).all(), sorted(\n"
+            "    m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+        assert out.split(maxsplit=1) == ["True", "[]\n"]
 
     def test_invariant_run_loads_no_scipy(self, tmp_path):
         # the ladder least squares runs the package's own LSQR

@@ -369,7 +369,7 @@ class TestProfilePool:
         ts, traj = flow.rk4_orbit(curved_torus, starts, 40.0, 5e-3)
         ref = [(flow.curvature_profile_along(curved_torus, g).K_samples, g.dt)
                for g in geos]
-        ref += [(flow._curvature_samples(curved_torus, traj[:, k]),
+        ref += [(curved_torus.curvature(*traj[:, k, :2].T),
                  ts[1] - ts[0]) for k in range(len(starts))]
         assert len(pool) == len(ref) == 7
         for prof, (K, dt) in zip(pool, ref):

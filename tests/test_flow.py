@@ -119,7 +119,7 @@ class TestIntegrator:
         assert np.array_equal(windows.traj, orbit)
         for k, prof in enumerate(profiles):
             assert np.array_equal(
-                prof.K_samples, flow._curvature_samples(model, orbit[:, k]))
+                prof.K_samples, model.curvature(*orbit[:, k, :2].T))
             assert prof.dt == windows.h
         alone = flow.TrappingWatch(model, **kw)
         assert watch.report() == alone.report() == \
@@ -434,7 +434,7 @@ def recorded_surrogate(model, n_dir, T_window, kappa_floor=1e-4, dt=2e-2,
                               rng.uniform(0, TWO_PI, n_dir)])
     _, traj = rk4_orbit(model, starts, T_window, dt)
     states = traj.reshape(-1, 3)
-    K = flow._curvature_samples(model, states).reshape(traj.shape[:-1])
+    K = model.curvature(*states[:, :2].T).reshape(traj.shape[:-1])
     min_max = float(np.min(np.max(np.abs(K), axis=0)))
     return {"trapped_detected": bool(min_max < kappa_floor), "n_dir": n_dir,
             "T_window": T_window, "kappa_floor": kappa_floor,
@@ -452,18 +452,18 @@ class TestStreamedSurrogate:
         ref, ref_states = recorded_surrogate(curved_torus, 16, T_window,
                                              kappa_floor=0.05)
         sampled = []
-        orig = flow._curvature_samples
+        orig = curved_torus.curvature
 
-        def keep(model, states):
-            sampled.append(states.copy())
-            return orig(model, states)
-        monkeypatch.setattr(flow, "_curvature_samples", keep)
+        def keep(x, y):
+            sampled.append(np.column_stack([x, y]))
+            return orig(x, y)
+        monkeypatch.setattr(curved_torus, "curvature", keep)
         rep = trapping_surrogate(curved_torus, n_dir=16, T_window=T_window,
                                  kappa_floor=0.05)
         assert rep == ref
         # every recorded state is sampled once, in order, bit for bit, one
         # state per orbit at a time
-        assert np.array_equal(np.concatenate(sampled), ref_states)
+        assert np.array_equal(np.concatenate(sampled), ref_states[:, :2])
         assert all(len(s) == 16 for s in sampled)
 
     def test_flagged_report_matches(self, flat_torus):

@@ -32,6 +32,31 @@ def _reduce_oracle(model, z, theta, max_steps=200):
 
 
 # ----------------------------------------------------------------------------
+# what every model answers
+
+
+class TestModelAnswers:
+    def test_constant_curvature_and_chart_radius(self, octagon, flat_torus):
+        assert (octagon.K0, octagon.chart_radius) == (-1.0, 1.0)
+        for K, radius in ((-4.0, 0.5), (-1.0, 1.0), (0.0, np.inf),
+                          (1.0, np.inf)):
+            model = ConstantCurvature(K)
+            assert (model.K0, model.chart_radius) == (K, radius)
+        assert flat_torus.K0 is None
+
+    def test_constant_curvature_vectorised(self, octagon):
+        for model in (octagon, ConstantCurvature(-2.5)):
+            K = model.curvature(np.zeros((3, 4)), 0.2)
+            assert K.shape == (3, 4) and np.all(K == model.K0)
+            assert model.curvature_at((0.1, 0.2)) == model.K0
+
+    @pytest.mark.parametrize("grid", [[[]], [[[0.0]]], [], 0.0])
+    def test_torus_grid_is_2d_and_not_empty(self, grid):
+        with pytest.raises(ValueError, match="2-D"):
+            ConformalTorus(grid, TWO_PI, TWO_PI)
+
+
+# ----------------------------------------------------------------------------
 # conformal torus
 
 

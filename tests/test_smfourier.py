@@ -92,6 +92,29 @@ class TestChart:
             sf.Chart.from_torus(model, 16)     # would drop y frequencies
 
 
+class TestSurfaceChart:
+    def test_torus_is_its_own_chart_covering_nx_and_ny(self, curved_torus):
+        assert sf.chart_side(curved_torus, 48) == 64
+        assert sf.chart_side(curved_torus, 80) == 80
+        ch, window = sf.surface_chart(curved_torus, 48)
+        assert window is None and ch.lam.shape == (64, 64)
+        assert ch.patch is None
+
+    def test_constant_curvature_gets_the_windowed_disk_patch(self, octagon,
+                                                             sphere):
+        for model in (octagon, sphere):
+            assert sf.chart_side(model, 16) == 16
+            ch, window = sf.surface_chart(model, 16)
+            assert ch.patch == (model, 0.55) and ch.lam.shape == (16, 16)
+            assert np.array_equal(window, sf._patch_window(ch))
+            assert np.all(ch.K == model.K0)
+
+    def test_patch_past_the_chart_radius(self):
+        # the corners lie 0.55 sqrt 2 = 0.778 from the centre
+        with pytest.raises(ValueError, match="chart of radius 0.5000"):
+            sf.surface_chart(ConstantCurvature(-4.0), 16)
+
+
 def _random_real_loop(chart, n_modes, spatial_band, rng):
     """SMField.random_real as a sum of sampled plane waves, mode by mode,
     kept here as an oracle."""
