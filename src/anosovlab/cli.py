@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cocycle import JacobiSolveError, _steps
+from .geometry import ConfigError, read_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,14 +33,6 @@ EXIT_SOLVER = 4
 # relative Pestov residuals at or below this are rounding, not discretisation
 # error, so they give no refinement ratio
 PESTOV_RESIDUAL_FLOOR = 1e-12
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _is_number(val):
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 # the keys each command reads; any other key is a config error
@@ -69,22 +62,6 @@ def _load_config(path, command):
     if unknown:
         raise ConfigError(f"unknown {command} key(s) {unknown}; expected "
                           f"some of {sorted(CONFIG_KEYS[command])}")
-    tols = [(key, False) for key in cfg if key.endswith("tol")]
-    for key, zero_ok in tols + [("beta_max", False), ("T_max", False),
-                                ("dt", False), ("kernel_threshold", False),
-                                ("reg", True)]:
-        if key not in cfg:
-            continue
-        val = cfg[key]
-        # the upper bound rejects inf, and ints too large for a float; the
-        # comparisons reject NaN
-        if not (_is_number(val) and (0 <= val if zero_ok else 0 < val)
-                and val <= sys.float_info.max):
-            kind = "nonnegative" if zero_ok else "positive"
-            raise ConfigError(f"{key!r} must be a finite {kind} number")
-    # a threshold relative to the largest singular value
-    if not cfg.get("kernel_threshold", 0.0) < 1.0:
-        raise ConfigError("'kernel_threshold' must be less than 1")
     return cfg
 
 
@@ -100,11 +77,10 @@ MAX_STEP_PHASE = 1.0
 
 
 def _jacobi_horizon(T_max, dt):
-    """(T_max, dt) as floats, when T_max/dt is at most MAX_JACOBI_STEPS."""
+    """Refuse a T_max/dt above MAX_JACOBI_STEPS."""
     if not T_max / dt <= MAX_JACOBI_STEPS:
         raise ConfigError(f"T_max/dt asks for {T_max / dt:.3g} RK4 steps; "
                           f"at most {MAX_JACOBI_STEPS:.0e} are allowed")
-    return float(T_max), float(dt)
 
 
 def _max_abs_curvature(model):
@@ -146,20 +122,6 @@ MAX_FIELDS = 1000
 # complex values); pestov's fine grid is twice its grid.  Just under the
 # cap a pestov field peaked at 170 MB and an invariant solve at 246 MB
 MAX_FIELD_POINTS = 2 ** 19
-
-
-def _int_key(cfg, key, default, lo, hi=None):
-    """cfg[key] (or the default) as an int in [lo, hi]; an integral float
-    counts as an int."""
-    val = cfg.get(key, default)
-    if (isinstance(val, float) and val.is_integer()
-            and abs(val) <= sys.maxsize):
-        val = int(val)
-    if not (isinstance(val, int) and not isinstance(val, bool) and lo <= val
-            and (hi is None or val <= hi)):
-        bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{key!r} must be an integer {bound}")
-    return val
 
 
 def _check_field_size(n_modes, grid):
@@ -262,10 +224,10 @@ class _Out:
 def cmd_pestov(cfg, out, seed):
     from . import smfourier as sf
 
-    n_fields = _int_key(cfg, "n_fields", 5, 1, MAX_FIELDS)
-    n_modes = _int_key(cfg, "n_modes", 6, 0)
-    band = _int_key(cfg, "spatial_band", 4, 0)
-    n_grid = _int_key(cfg, "grid", 64, 2 * band + 1)
+    n_fields = read_number(cfg, "n_fields", 5, 1, MAX_FIELDS, int)
+    n_modes = read_number(cfg, "n_modes", 6, 0, sys.maxsize, int)
+    band = read_number(cfg, "spatial_band", 4, 0, sys.maxsize, int)
+    n_grid = read_number(cfg, "grid", 64, 2 * band + 1, sys.maxsize, int)
     model = _surface(cfg)
     n_grid = sf.chart_side(model, n_grid)
     _check_field_size(n_modes, 2 * n_grid)
@@ -306,14 +268,17 @@ def cmd_pestov(cfg, out, seed):
 
 
 def _cocycle_setup(cfg):
-    """The pre-work of terminator and anosov: check T_max/dt, build the
-    surface and check the step phase.  Returns (surface, beta_max, tol,
-    T_max, dt) with the defaults filled in."""
-    T_max, dt = _jacobi_horizon(cfg.get("T_max", 200.0), cfg.get("dt", 1e-2))
-    beta_max = float(cfg.get("beta_max", 64.0))
+    """The pre-work of terminator and anosov: read the keys, check
+    T_max/dt, build the surface and check the step phase.  Returns
+    (surface, beta_max, tol, T_max, dt)."""
+    beta_max = read_number(cfg, "beta_max", 64.0, 0.0)
+    tol = read_number(cfg, "tol", 1e-3, 0.0)
+    T_max = read_number(cfg, "T_max", 200.0, 0.0)
+    dt = read_number(cfg, "dt", 1e-2, 0.0)
+    _jacobi_horizon(T_max, dt)
     model = _surface(cfg)
     _check_step_phase(*_max_abs_curvature(model), beta_max, T_max, dt)
-    return model, beta_max, float(cfg.get("tol", 1e-3)), T_max, dt
+    return model, beta_max, tol, T_max, dt
 
 
 def cmd_terminator(cfg, out, seed):
@@ -344,11 +309,15 @@ def cmd_xray(cfg, out, seed):
     from .geometry import FuchsianOctagon
     from . import xray
 
-    m = _int_key(cfg, "m", 2, 0, MAX_DEGREE)
-    n_samples = _int_key(cfg, "n_samples", 512, 1, MAX_N_SAMPLES)
-    pool_size = _int_key(cfg, "pool_size", 256, 1)
-    max_word_len = _int_key(cfg, "max_word_len", 6, 1, MAX_WORD_LEN)
-    n_basis = _int_key(cfg, "n_basis", 16, 1, xray.basis_capacity(m))
+    m = read_number(cfg, "m", 2, 0, MAX_DEGREE, int)
+    n_samples = read_number(cfg, "n_samples", 512, 1, MAX_N_SAMPLES, int)
+    pool_size = read_number(cfg, "pool_size", 256, 1, sys.maxsize, int)
+    max_word_len = read_number(cfg, "max_word_len", 6, 1, MAX_WORD_LEN, int)
+    n_basis = read_number(cfg, "n_basis", 16, 1, xray.basis_capacity(m), int)
+    # relative to the largest singular value
+    threshold = read_number(cfg, "kernel_threshold", 1e-6, 0.0, 1.0)
+    if not threshold < 1.0:
+        raise ConfigError("'kernel_threshold' must be less than 1")
     model = _surface(cfg)
     if not isinstance(model, FuchsianOctagon):
         raise ConfigError("xray runs on the octagon surface")
@@ -360,8 +329,7 @@ def cmd_xray(cfg, out, seed):
               f"than the {n_basis} basis tensors", file=sys.stderr)
         return EXIT_DATA
     report = xray.sinjectivity_experiment(
-        model, m, pool, n_basis=n_basis,
-        threshold=float(cfg.get("kernel_threshold", 1e-6)),
+        model, m, pool, n_basis=n_basis, threshold=threshold,
         n_samples=n_samples)
     out.json("xray_report.json", report)
     out.csv("geodesic_pool.csv", {
@@ -381,15 +349,16 @@ def cmd_invariant(cfg, out, seed):
                           "library for w1/wm data preparation")
     # n_modes >= 3: with 2 the interior ladder set holds only k = 0, where
     # the residual is identically zero; grid >= 2 band + 1 resolves the data
-    n_modes = _int_key(cfg, "n_modes", 10, 3)
-    band = _int_key(cfg, "spatial_band", 2, 0)
-    grid = _int_key(cfg, "grid", 48, 2 * band + 1)
+    n_modes = read_number(cfg, "n_modes", 10, 3, sys.maxsize, int)
+    band = read_number(cfg, "spatial_band", 2, 0, sys.maxsize, int)
+    grid = read_number(cfg, "grid", 48, 2 * band + 1, sys.maxsize, int)
+    reg = read_number(cfg, "reg", 1e-12, -5e-324)     # the float below 0
+    tol = read_number(cfg, "tol", 1e-6, 0.0)
     model = _surface(cfg)
     if not isinstance(model, (FuchsianOctagon, ConformalTorus)):
         raise ConfigError(f"unsupported surface {type(model).__name__}")
     grid = sf.chart_side(model, grid)
     _check_field_size(n_modes, grid)
-    reg = float(cfg.get("reg", 1e-12))
     rng = np.random.default_rng(seed)
     if isinstance(model, FuchsianOctagon):
         f = sf.octagon_mode0_field(model, rng=rng, spatial_band=band, n=grid)
@@ -397,7 +366,6 @@ def cmd_invariant(cfg, out, seed):
         ch = sf.Chart.from_torus(model, grid)
         f = sf.SMField.random_real(ch, n_modes=0, spatial_band=band, rng=rng)
     w, diag = sf.invariant_extension(f, variant, n_modes=n_modes, reg=reg)
-    tol = float(cfg.get("tol", 1e-6))
     rel = diag["interior_max"] / max(diag["w_norm"], 1e-300)
     norms = np.sqrt(w.chart.norm2(w.data))      # w0 lives on the even modes
     ks = np.arange(-n_modes, n_modes + 1)
@@ -433,24 +401,20 @@ def cmd_invariant(cfg, out, seed):
 def cmd_gulliver(cfg, out, seed):
     from . import gulliver, cocycle
 
-    beta_target = cfg.get("beta_target")
-    if beta_target is None:
-        raise ConfigError("gulliver needs 'beta_target'")
-    if not _is_number(beta_target):
-        raise ConfigError("'beta_target' must be a number")
-    try:
-        params = gulliver.search_params(float(beta_target))
-    except ValueError as e:
-        raise ConfigError(str(e))
+    # a window [beta_target, 2) whose cap double precision can hold
+    beta_target = read_number(cfg, "beta_target", None, 1.5,
+                              gulliver.BETA_TARGET_MAX)
+    periods = read_number(cfg, "T_max", 3.0, 0.0)     # in profile periods
+    beta_max = read_number(cfg, "beta_max", 64.0, 0.0)
+    tol = read_number(cfg, "tol", 1e-3, 0.0)
+    params = gulliver.search_params(beta_target)
     profile = gulliver.synth_profile(params)
-    T_max, dt = _jacobi_horizon(
-        float(cfg.get("T_max", 3.0)) * float(profile.T), 1e-2)
-    beta_max = float(cfg.get("beta_max", 64.0))
+    T_max, dt = periods * float(profile.T), 1e-2
+    _jacobi_horizon(T_max, dt)
     _check_step_phase(float(np.max(np.abs(profile.K_samples))),
                       "max|K_samples|", beta_max, T_max, dt)
-    cert = cocycle.terminator_bisect(
-        [profile], beta_max=beta_max,
-        tol=float(cfg.get("tol", 1e-3)), T_max=T_max, dt=dt)
+    cert = cocycle.terminator_bisect([profile], beta_max=beta_max, tol=tol,
+                                     T_max=T_max, dt=dt)
     out.json("gulliver_params.json", params.to_json())
     out.json("terminator_certificate.json", cert.to_json())
     ts = np.arange(len(profile.K_samples)) * profile.dt

@@ -531,15 +531,28 @@ MAX_TORUS_SIDE = 512
 MAX_TORUS_BOX = 100.0
 
 
-def _positive(doc, key, default, kind, hi=sys.float_info.max):
-    """doc[key] (or the default): an int >= 1 if kind is int, otherwise a
-    finite positive number; at most hi."""
+class ConfigError(ValueError):
+    """A config or surface spec that the program refuses before any work."""
+
+
+def read_number(doc, key, default, lo, hi=np.inf, kind=float):
+    """doc[key], or ``default`` when the key is absent, checked as ``kind``:
+    an int in [lo, hi] (an integral float counts as one), or a finite float
+    above lo and at most hi.  A bool, a string or None is refused."""
     val = doc.get(key, default)
-    if (isinstance(val, bool) or not isinstance(val, (int, kind))
-            or not 0 < val <= hi):
-        bound = "" if hi == sys.float_info.max else f" at most {hi}"
-        raise ValueError(f"{key!r} must be a finite positive "
-                         f"{'integer' if kind is int else 'number'}{bound}")
+    if kind is int and isinstance(val, float) and val.is_integer():
+        val = int(val)
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if kind is int:
+        ok = number and isinstance(val, int) and lo <= val <= hi
+        rule = f"an integer in [{lo}, {hi}]"
+    else:
+        # the abs bound refuses inf, NaN and an int too large for a float
+        ok = number and abs(val) <= sys.float_info.max and lo < val <= hi
+        rule = ("a finite number" + (f" above {lo!r}" if lo > -np.inf else "")
+                + (f" and at most {hi!r}" if hi < np.inf else ""))
+    if not ok:
+        raise ConfigError(f"{key!r} must be {rule}")
     return kind(val)
 
 
@@ -556,9 +569,9 @@ def surface_from_json(doc):
     kind = doc.get("type")
     if kind == "conformal_torus":
         lam = doc["lambda"]
-        Lx, Ly = (_positive(doc, key, TWO_PI, float, MAX_TORUS_BOX)
+        Lx, Ly = (read_number(doc, key, TWO_PI, 0.0, MAX_TORUS_BOX)
                   for key in ("Lx", "Ly"))
-        nx, ny = (_positive(doc, key, 64, int, MAX_TORUS_SIDE)
+        nx, ny = (read_number(doc, key, 64, 1, MAX_TORUS_SIDE, int)
                   for key in ("nx", "ny"))
         if isinstance(lam, str):
             return ConformalTorus.from_expression(lam, Lx, Ly, nx, ny)
@@ -568,11 +581,7 @@ def surface_from_json(doc):
                              f"{MAX_TORUS_SIDE}")
         return ConformalTorus(lam, Lx, Ly)
     if kind == "constant":
-        K = doc["K"]
-        if (isinstance(K, bool) or not isinstance(K, (int, float))
-                or not abs(K) <= sys.float_info.max):
-            raise ValueError("'K' must be a finite number")
-        return ConstantCurvature(K)
+        return ConstantCurvature(read_number(doc, "K", None, -np.inf))
     if kind == "octagon":
         return FuchsianOctagon()
     raise ValueError(f"unknown surface type: {kind!r}")
