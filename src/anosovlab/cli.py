@@ -144,7 +144,8 @@ def _surface(cfg):
         raise ConfigError("config is missing the 'surface' entry")
     try:
         return surface_from_json(spec)
-    except (KeyError, ValueError, TypeError) as e:
+    # OverflowError: a grid lambda holding an int too large for a float
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"invalid surface spec: {e}")
 
 

@@ -26,7 +26,9 @@ class CurvatureProfile:
     ``K_fn``, when present, evaluates K(t) analytically (used for constant,
     piecewise and synthetic profiles); otherwise periodic profiles are
     evaluated by trigonometric interpolation of the samples and aperiodic
-    ones by linear interpolation.
+    ones by linear interpolation (``np.interp``), which holds the end
+    sample for every t past the sampled window [0, (n - 1) dt]: a Jacobi
+    solve past the window sees that constant curvature, not the orbit's.
 
     The trigonometric interpolant is summed by Horner's rule in
     z = exp(i 2 pi t / T) after reducing t modulo the period T: one complex

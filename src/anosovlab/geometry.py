@@ -13,6 +13,7 @@ Three kinds of closed oriented surfaces are supported:
   side-pairing translations acting on the Poincare disk.
 """
 
+import ast
 import sys
 
 import numpy as np
@@ -126,6 +127,67 @@ def resample(f, shape):
 PERIODIC_TOL = 1e-8
 
 
+# the language of an expression lambda: number literals, x, y and pi, the
+# arithmetic operators (^ is read as **, as SymPy reads it), unary signs, and
+# one-argument calls of these functions
+LAMBDA_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh",
+                    "tanh")
+
+
+def _is_number_literal(node):
+    return (isinstance(node, ast.Constant)
+            and type(node.value) in (int, float))
+
+
+def _lambda_node_ok(node, funcs):
+    """Whether one node of a parsed lambda is in its language; ``funcs``
+    holds the ids of the nodes that are called."""
+    if isinstance(node, ast.Constant):
+        return _is_number_literal(node)
+    if isinstance(node, ast.Name):
+        return node.id in (LAMBDA_FUNCTIONS if id(node) in funcs
+                           else ("x", "y", "pi"))
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and len(node.args) == 1
+                and not node.keywords)
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, (ast.UAdd, ast.USub))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow,
+                                                           ast.BitXor)):
+        # x or y in the base, a signed number literal as the exponent
+        exp = node.right
+        if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, (ast.UAdd,
+                                                               ast.USub)):
+            exp = exp.operand
+        return _is_number_literal(exp) and any(
+            isinstance(n, ast.Name) and n.id in ("x", "y")
+            for n in ast.walk(node.left))
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
+    # operators and contexts, checked with the node that holds them
+    return isinstance(node, (ast.operator, ast.unaryop, ast.expr_context))
+
+
+def _check_lambda(expr):
+    """Refuse a lambda string outside the expression language before SymPy
+    evaluates it, naming the first part that is outside.  No power of
+    constants (9**9**9) is ever evaluated."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    # deep nesting ends the parse in RecursionError or MemoryError
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as e:
+        raise ValueError(f"lambda {expr!r} does not parse: {e}") from None
+    funcs = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    for node in ast.walk(tree.body):
+        if not _lambda_node_ok(node, funcs):
+            part = ast.get_source_segment(expr, node)
+            raise ValueError(
+                f"lambda {expr!r}: {part!r} is outside the expression "
+                "language: numbers, x, y, pi, + - * / ** ^ and one-argument "
+                f"{' '.join(LAMBDA_FUNCTIONS)}; a power needs x or y in its "
+                "base and a number as its exponent")
+
+
 def _lam_values(fn, x, y):
     """(lam, lam_x, lam_y) from a lambdified ``fn`` at array points; a
     constant component (e.g. a derivative of "0*x") lambdifies to a scalar,
@@ -172,9 +234,11 @@ class ConformalTorus:
 
     @classmethod
     def from_expression(cls, expr, Lx, Ly, nx, ny):
-        """Build from a sympy-parseable expression in x, y.  Raises
-        ValueError when the expression has other symbols, or when lam or its
-        gradient is not periodic on the box."""
+        """Build from an expression in x, y (see ``_check_lambda``), read by
+        SymPy.  Raises ValueError when the expression is outside that
+        language or has other symbols, or when lam or its gradient is not
+        periodic on the box."""
+        _check_lambda(expr)
         import sympy as sp
 
         x, y = sp.symbols("x y", real=True)
@@ -524,10 +588,12 @@ class FuchsianOctagon(_DiskChart):
 # PeriodicBicubic tables 128 B a grid point and grid: 34 MB for K at 512,
 # 101 MB more for lam and its gradient on a grid-built torus
 MAX_TORUS_SIDE = 512
-# the largest torus box side Lx or Ly: geodesic lengths, and with them the
-# RK4 steps of the closed-geodesic shooting, grow with the box.  anosov on
-# a flat 8 x 8 torus (2-CPU Xeon, one BLAS thread) took 4.8 s and 98 MB
-# at Lx = Ly = 100, 13 s and 120 MB at 300, and more than 200 s at 1e3
+# the largest torus box side Lx or Ly, and metric box max(Lx, Ly) e^(max
+# lam): geodesic lengths, and with them the RK4 steps of the closed-geodesic
+# shooting, grow with the box, and a constant added to lam stretches them as
+# the box does.  anosov on a flat 8 x 8 torus (2-CPU Xeon, one BLAS thread)
+# took 4.8 s and 98 MB at Lx = Ly = 100, 13 s and 120 MB at 300, and more
+# than 200 s at 1e3; on the default box, lam = 3.85 took 25.7 s
 MAX_TORUS_BOX = 100.0
 
 
@@ -574,12 +640,20 @@ def surface_from_json(doc):
         nx, ny = (read_number(doc, key, 64, 1, MAX_TORUS_SIDE, int)
                   for key in ("nx", "ny"))
         if isinstance(lam, str):
-            return ConformalTorus.from_expression(lam, Lx, Ly, nx, ny)
-        lam = np.asarray(lam, dtype=float)
-        if max(lam.shape, default=0) > MAX_TORUS_SIDE:
-            raise ValueError(f"the 'lambda' grid's sides must be at most "
-                             f"{MAX_TORUS_SIDE}")
-        return ConformalTorus(lam, Lx, Ly)
+            model = ConformalTorus.from_expression(lam, Lx, Ly, nx, ny)
+        else:
+            lam = np.asarray(lam, dtype=float)
+            if max(lam.shape, default=0) > MAX_TORUS_SIDE:
+                raise ValueError(f"the 'lambda' grid's sides must be at most "
+                                 f"{MAX_TORUS_SIDE}")
+            model = ConformalTorus(lam, Lx, Ly)
+        # compared as logarithms, so a large lam overflows nothing
+        lam_max = float(np.max(model.lam_grid))
+        if lam_max > np.log(MAX_TORUS_BOX / max(Lx, Ly)):
+            raise ConfigError(
+                f"the metric box max(Lx, Ly) e^(max lambda) = "
+                f"{max(Lx, Ly):.4g} e^{lam_max:.4g} exceeds {MAX_TORUS_BOX}")
+        return model
     if kind == "constant":
         return ConstantCurvature(read_number(doc, "K", None, -np.inf))
     if kind == "octagon":

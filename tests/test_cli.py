@@ -290,6 +290,67 @@ class TestConfigHandling:
         assert "'Lx'" in capsys.readouterr().err
         assert time.perf_counter() - start < 5.0    # before any work
 
+    @pytest.mark.parametrize("surface", [
+        # a constant in lambda stretches every geodesic as the box does:
+        # anosov on lambda = 3.85 ran 25.7 s before it was bounded
+        {**FLAT, "nx": 8, "ny": 8, "lambda": "3.85"},
+        # 2 pi e^3 ~ 126
+        {**FLAT, "nx": 8, "ny": 8, "lambda": "2*cos(x)**2 - sin(3*y)"},
+        # 60 e^0.6 ~ 109
+        {**FLAT, "nx": 8, "ny": 8, "Lx": 60.0, "lambda": "0.6*cos(pi*x/30)"},
+        {"type": "conformal_torus", "lambda": [[3.85] * 4] * 4}])
+    def test_torus_metric_box_capped(self, tmp_path, capsys, surface):
+        start = time.perf_counter()
+        rc, out = _run(tmp_path, "anosov", {"surface": surface})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        assert "metric box" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0    # before any work
+
+    def test_lambda_runs_no_code(self, tmp_path, capsys, monkeypatch):
+        # SymPy's sympify evaluates its string as Python
+        calls = []
+        monkeypatch.setattr(os, "getpid", lambda: calls.append(1) or 1)
+        surface = {**FLAT, "lambda": '0*__import__("os").getpid()'}
+        rc, out = _run(tmp_path, "pestov", {"surface": surface})
+        assert rc == cli.EXIT_CONFIG
+        assert not calls
+        assert not out.exists() or not any(out.iterdir())
+        assert "'__import__(\"os\").getpid()'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", [
+        "a*cos(x)", "Abs(x)", "sin(x, y)", "x & y", "1j", "pi**2", "2**x",
+        "x**(1 + 1)", "x.real", "2x", "sin"])
+    def test_lambda_outside_the_language(self, tmp_path, capsys, lam):
+        rc, out = _run(tmp_path, "anosov", {"surface": {**FLAT, "lambda": lam}})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        assert f"lambda {lam!r}" in capsys.readouterr().err
+
+    def test_power_tower_lambda_refused_unevaluated(self, tmp_path):
+        # SymPy would evaluate 9**9**9 as an exact integer of 370 million
+        # digits; run apart, so that such a run cannot hold up the suite
+        path = _write(tmp_path, "cfg.json",
+                      {"surface": {**FLAT, "lambda": "9**9**9"}})
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "anosovlab.cli", "anosov", "--config", path,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "'9**9**9'" in proc.stderr
+
+    @pytest.mark.parametrize("lam", [10 ** 400, [[10 ** 400]],
+                                     "sin(x)**1" + "0" * 400])
+    def test_lambda_too_large_for_a_float(self, tmp_path, lam):
+        # each ended in an OverflowError traceback
+        rc, out = _run(tmp_path, "anosov", {"surface": {**FLAT, "lambda": lam}})
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
     def test_workers_option_is_gone(self, tmp_path):
         path = _write(tmp_path, "cfg.json", {"surface": SPHERE})
         with pytest.raises(SystemExit):
@@ -651,6 +712,7 @@ class TestCommands:
         ("n_basis", 0), ("n_basis", 99), ("n_basis", 2.5), ("m", "2"),
         ("pool_size", True), ("max_word_len", cli.MAX_WORD_LEN + 1),
         ("max_word_len", 10 ** 9), ("n_samples", cli.MAX_N_SAMPLES + 1),
+        ("pool_size", 10 ** 400),
         ("n_samples", 10 ** 9), ("m", cli.MAX_DEGREE + 1)])
     def test_xray_bad_integer_key_rejected(self, tmp_path, key, val):
         start = time.perf_counter()

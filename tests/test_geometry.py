@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,6 +409,65 @@ class TestSurfaceJson:
                                "Ly": 1.0, "lambda": grid.tolist()})
         assert t.lam_grid.shape == (8, 8)
 
+    def test_integral_float_sides_build(self):
+        # the one integer rule of every config key: 8.0 counts as 8
+        t = surface_from_json({"type": "conformal_torus", "nx": 8.0,
+                               "ny": 16.0, "lambda": "0.05*cos(x)"})
+        assert (t.nx, t.ny) == (8, 16)
+        assert type(t.nx) is int
+
     def test_unknown_type_raises(self):
         with pytest.raises(ValueError):
             surface_from_json({"type": "nope"})
+
+
+class TestReadNumber:
+    """The one reader of config numbers: a key's default, kind and bounds
+    are given where it is read."""
+
+    def read(self, val, *args):
+        from anosovlab.geometry import read_number
+        return read_number({"k": val}, "k", None, *args)
+
+    def test_int_kind(self):
+        assert self.read(3, 1, 5, int) == 3
+        assert self.read(1, 1, 5, int) == 1 and self.read(5, 1, 5, int) == 5
+        got = self.read(4.0, 1, 5, int)
+        assert got == 4 and type(got) is int
+
+    def test_float_kind(self):
+        got = self.read(2, 0.0)
+        assert got == 2.0 and type(got) is float
+        assert self.read(1.0, 0.0, 1.0) == 1.0      # at most hi
+        assert self.read(-3.5, -np.inf) == -3.5
+
+    def test_default_fills_an_absent_key(self):
+        from anosovlab.geometry import read_number
+        assert read_number({}, "k", 7, 1, 9, int) == 7
+        assert read_number({}, "k", 0.5, 0.0) == 0.5
+
+    @pytest.mark.parametrize("val, args", [
+        (0, (1, 5, int)), (6, (1, 5, int)), (2.5, (1, 5, int)),
+        (10 ** 400, (1, sys.maxsize, int)), (np.inf, (1, 5, int)),
+        (0.0, (0.0,)), (-1e-300, (0.0,)), (1.5, (0.0, 1.0)),
+        (np.inf, (0.0,)), (np.nan, (-np.inf,)), (10 ** 400, (0.0,)),
+        *((bad, args) for bad in (True, False, "1", None, [1])
+          for args in ((0, 5, int), (-np.inf,)))])
+    def test_refused(self, val, args):
+        from anosovlab.geometry import ConfigError
+        with pytest.raises(ConfigError, match="'k' must be"):
+            self.read(val, *args)
+
+    def test_message_names_the_bounds(self):
+        from anosovlab.geometry import ConfigError
+        with pytest.raises(ConfigError, match=r"'k' must be an integer in "
+                           r"\[1, 5\]"):
+            self.read(9, 1, 5, int)
+        with pytest.raises(ConfigError, match="'k' must be a finite number "
+                           "above 0.0 and at most 1.0"):
+            self.read(2.0, 0.0, 1.0)
+
+    def test_cli_config_error_is_the_same_class(self):
+        from anosovlab import cli, geometry
+        assert cli.ConfigError is geometry.ConfigError
+        assert issubclass(cli.ConfigError, ValueError)
