@@ -353,7 +353,9 @@ def cmd_invariant(cfg, out, seed):
     n_modes = read_number(cfg, "n_modes", 10, 3, sys.maxsize, int)
     band = read_number(cfg, "spatial_band", 2, 0, sys.maxsize, int)
     grid = read_number(cfg, "grid", 48, 2 * band + 1, sys.maxsize, int)
-    reg = read_number(cfg, "reg", 1e-12, -5e-324)     # the float below 0
+    # reg >= 0: a float's lower bound is open, and -5e-324 is the float
+    # next below 0
+    reg = read_number(cfg, "reg", 1e-12, -5e-324)
     tol = read_number(cfg, "tol", 1e-6, 0.0)
     model = _surface(cfg)
     if not isinstance(model, (FuchsianOctagon, ConformalTorus)):
