@@ -338,14 +338,10 @@ class TestConfigHandling:
         # digits; run apart, so that such a run cannot hold up the suite
         path = _write(tmp_path, "cfg.json",
                       {"surface": {**FLAT, "lambda": "9**9**9"}})
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-m", "anosovlab.cli", "anosov", "--config", path,
              "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=5.0)
+            env=_fresh_env(), capture_output=True, text=True, timeout=5.0)
         assert proc.returncode == cli.EXIT_CONFIG
         assert "'9**9**9'" in proc.stderr
 
@@ -741,14 +737,19 @@ def _csv_writer_bytes(header, columns):
     return buf.getvalue().encode()
 
 
-def _fresh_python(code):
-    """Run ``code`` in a new interpreter that imports this anosovlab; returns
-    its standard output."""
+def _fresh_env():
+    """The environment of a new interpreter that imports this anosovlab."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return env
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this anosovlab; returns
+    its standard output."""
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
