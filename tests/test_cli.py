@@ -777,6 +777,16 @@ class TestImportFootprint:
             "print('anosovlab.bicubic' in sys.modules)\n")
         assert out.strip() == "False"
 
+    def test_importing_the_modules_leaves_the_lambda_language_unloaded(
+            self):
+        # only building an expression torus parses a lambda string
+        out = _fresh_python(
+            "import sys\n"
+            "from anosovlab import (cli, geometry, flow, cocycle, gulliver,\n"
+            "                       xray, smfourier)\n"
+            "print('anosovlab.lamexpr' in sys.modules)\n")
+        assert out.strip() == "False"
+
     def test_gulliver_run_leaves_the_optimizer_unloaded(self, tmp_path):
         cfg = _write(tmp_path, "gulliver.json", {"beta_target": 1.75})
         out = _fresh_python(
