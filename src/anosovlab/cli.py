@@ -144,7 +144,7 @@ def _surface(cfg):
         raise ConfigError("config is missing the 'surface' entry")
     try:
         return surface_from_json(spec)
-    # OverflowError: a grid lambda holding an int too large for a float
+    # OverflowError: a lambda holding an int too large for a float
     except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"invalid surface spec: {e}")
 
