@@ -144,7 +144,7 @@ def _surface(cfg):
         raise ConfigError("config is missing the 'surface' entry")
     try:
         return surface_from_json(spec)
-    # OverflowError: a lambda holding an int too large for a float
+    # OverflowError: an int too large for a float in a grid lambda [[10**400]]
     except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"invalid surface spec: {e}")
 
@@ -179,6 +179,8 @@ def _csv_fields(column):
 class _Out:
     def __init__(self, outdir, cfg):
         self.dir = Path(outdir)
+        # the directories this run makes, the deepest first
+        self.new = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
         except OSError as e:
@@ -442,6 +444,7 @@ def main(argv=None):
     parser.add_argument("--out", default="anosovlab_out")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    out = None
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be an integer >= 0, not "
@@ -451,6 +454,9 @@ def main(argv=None):
         out.stamp["seed"] = args.seed
         return COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as e:
+        if out and not any(out.dir.iterdir()):  # leave no empty directory
+            for d in out.new:                   # that this run made
+                d.rmdir()
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except JacobiSolveError as e:

@@ -126,16 +126,6 @@ def resample(f, shape):
 PERIODIC_TOL = 1e-8
 
 
-def _lam_values(fn, x, y):
-    """(lam, lam_x, lam_y) from a lambdified ``fn`` at array points; a
-    constant component (e.g. a derivative of "0*x") lambdifies to a scalar,
-    so only those are broadcast."""
-    shape = np.shape(x)
-    vals = [np.asarray(v, dtype=float) for v in fn(x, y)]
-    return tuple(v if v.shape == shape else np.broadcast_to(v, shape)
-                 for v in vals)
-
-
 class ConformalTorus:
     """Torus [0,Lx) x [0,Ly) with metric e^{2 lam}(dx^2+dy^2).
 
@@ -160,7 +150,7 @@ class ConformalTorus:
         self.lam_grid = lam_grid
         self.nx, self.ny = lam_grid.shape
         self.Lx, self.Ly = float(Lx), float(Ly)
-        self._lam_fn = lam_fn  # (x, y) -> [lam, lam_x, lam_y], or None
+        self._lam_fn = lam_fn  # (x, y) -> (lam, lam_x, lam_y), or None
 
         with np.errstate(all="ignore"):     # a tiny box overflows them
             calculus = spectral_calculus(lam_grid, self.Lx, self.Ly)
@@ -172,28 +162,16 @@ class ConformalTorus:
 
     @classmethod
     def from_expression(cls, expr, Lx, Ly, nx, ny):
-        """Build from an expression in x, y (see ``lamexpr.check_lambda``),
-        read by SymPy.  Raises ValueError when the expression is outside that
-        language or has other symbols, or when lam or its gradient is not
-        periodic on the box."""
-        from .lamexpr import check_lambda   # only an expression torus loads it
-        check_lambda(expr)
-        import sympy as sp
-
-        x, y = sp.symbols("x y", real=True)
-        lam = sp.sympify(expr, locals={"x": x, "y": y, "pi": sp.pi})
-        other = lam.free_symbols - {x, y}
-        if other:
-            raise ValueError(f"lambda {expr!r} has symbols other than x and "
-                             f"y: {sorted(map(str, other))}")
-        fn = sp.lambdify((x, y), [lam, sp.diff(lam, x), sp.diff(lam, y)],
-                         "numpy")
+        """Build from an expression in x, y, read with its gradient by
+        ``lamexpr.compile_lambda``.  Raises ValueError when it is outside that
+        language, or when lam or its gradient is not periodic on the box."""
+        from .lamexpr import compile_lambda  # only expression tori load it
+        fn = compile_lambda(expr)
         xs, ys = grid_nodes(0.0, nx, Lx), grid_nodes(0.0, ny, Ly)
         with np.errstate(all="ignore"):     # non-finite values fail below
             for name, a, b in (("x", (0.0 * ys, ys), (Lx + 0.0 * ys, ys)),
                                ("y", (xs, 0.0 * xs), (xs, Ly + 0.0 * xs))):
-                va = np.array(_lam_values(fn, *a))
-                vb = np.array(_lam_values(fn, *b))
+                va, vb = np.array(fn(*a)), np.array(fn(*b))
                 gap = np.max(np.abs(va - vb))
                 scale = max(1.0, np.max(np.abs(va)), np.max(np.abs(vb)))
                 if not gap <= PERIODIC_TOL * scale:     # NaN fails too
@@ -202,8 +180,7 @@ class ConformalTorus:
                         "(lambda, lambda_x, lambda_y) differ by "
                         f"{gap:.3g} across the box")
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        grid = _lam_values(fn, X, Y)[0].copy()
-        return cls(grid, Lx, Ly, lam_fn=fn)
+        return cls(fn(X, Y)[0], Lx, Ly, lam_fn=fn)
 
     # -- interpolation ------------------------------------------------------
 
@@ -225,9 +202,7 @@ class ConformalTorus:
     def lam_and_grad(self, x, y):
         """Return (lam, lam_x, lam_y) at arbitrary points (vectorized)."""
         if self._lam_fn is not None:
-            if not np.shape(x):
-                return tuple(float(v) for v in self._lam_fn(x, y))
-            return _lam_values(self._lam_fn, x, y)
+            return self._lam_fn(x, y)
         return tuple(self._interpolant("lam")(x, y))
 
     def curvature(self, x, y):

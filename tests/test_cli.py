@@ -322,7 +322,11 @@ class TestConfigHandling:
         ("a*cos(x)", "a"), ("Abs(x)", "Abs"), ("sin(x, y)", "sin(x, y)"),
         ("x & y", "x & y"), ("1j", "1j"), ("pi**2", "pi**2"),
         ("2**x", "2**x"), ("x**(1 + 1)", "x**(1 + 1)"),
-        ("x.real", "x.real"), ("sin", "sin")])
+        ("x.real", "x.real"), ("sin", "sin"),
+        # number literals that are not finite floats
+        ("1e400*cos(x)", "1e400"),
+        pytest.param("sin(x)**1" + "0" * 400, "1" + "0" * 400,
+                     id="sin(x)**10...0-400-zeros")])
     def test_lambda_outside_the_language(self, tmp_path, capsys, lam, part):
         # the message names the first part outside the language; pestov, whose
         # cost does not grow with lambda, as pi**2 was accepted
@@ -422,6 +426,19 @@ class TestRunArguments:
         assert rc == cli.EXIT_CONFIG
         assert str(out) in capsys.readouterr().err
         assert (tmp_path / "taken").read_text() == ""
+
+    @pytest.mark.parametrize("cfg", [
+        {"surface": FLAT, "n_fields": 0},
+        {"surface": {**FLAT, "lambda": "a*cos(x)"}}])
+    def test_refused_config_leaves_no_output_directory(self, tmp_path, cfg):
+        # the directories this run made go; one that was there stays
+        rc, out = _run(tmp_path, "pestov", cfg, sub="new/out")
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "old").mkdir()
+        rc, out = _run(tmp_path, "pestov", cfg, sub="old/out")
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists() and (tmp_path / "old").is_dir()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -801,7 +818,7 @@ class TestImportFootprint:
         ("anosov", {"surface": CURVED, "beta_max": 0.0625, "tol": 0.0625}),
         ("terminator", {"surface": dict(CURVED, nx=16, ny=16)})])
     def test_torus_run_loads_no_scipy(self, tmp_path, command, cfg):
-        assert _run_scipy_modules(tmp_path, command, cfg) == [
+        assert _run_modules(tmp_path, command, cfg) == [
             str(cli.EXIT_OK), "[]"]
 
     def test_alpha_estimates_load_no_scipy(self):
@@ -821,13 +838,25 @@ class TestImportFootprint:
     def test_invariant_run_loads_no_scipy(self, tmp_path):
         # the ladder least squares runs the package's own LSQR
         cfg = {"surface": OCTAGON, "grid": 16, "n_modes": 4}
-        assert _run_scipy_modules(tmp_path, "invariant", cfg) == [
+        assert _run_modules(tmp_path, "invariant", cfg) == [
+            str(cli.EXIT_OK), "[]"]
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("anosov", {"surface": CURVED, "beta_max": 0.0625, "tol": 0.0625}),
+        ("terminator", {"surface": dict(CURVED, nx=16, ny=16)}),
+        ("pestov", FUZZ_BASES["pestov"]),
+        # a loose tol: the ladder residual of its 8 x 8 torus is ~1e-3
+        ("invariant", {**FUZZ_BASES["invariant"], "tol": 0.5})])
+    def test_expression_torus_run_loads_no_sympy(self, tmp_path, command,
+                                                 cfg):
+        # lamexpr compiles the lambda string to numpy code itself
+        assert _run_modules(tmp_path, command, cfg, "sympy") == [
             str(cli.EXIT_OK), "[]"]
 
 
-def _run_scipy_modules(tmp_path, command, cfg):
-    """[exit code, SciPy modules loaded] of ``command`` on ``cfg``, run
-    through cli.main in a new interpreter."""
+def _run_modules(tmp_path, command, cfg, prefix="scipy"):
+    """[exit code, ``prefix`` modules loaded] of ``command`` on ``cfg``,
+    run through cli.main in a new interpreter."""
     path = _write(tmp_path, f"{command}.json", cfg)
     out = _fresh_python(
         "import sys\n"
@@ -835,7 +864,7 @@ def _run_scipy_modules(tmp_path, command, cfg):
         f"rc = cli.main([{command!r}, '--config', {path!r}, '--out',\n"
         f"               {str(tmp_path / 'out')!r}])\n"
         "print(rc, sorted(m for m in sys.modules\n"
-        "                 if m == 'scipy' or m.startswith('scipy.')))\n")
+        f"                 if m.split('.')[0] == {prefix!r}))\n")
     return out.strip().split(maxsplit=1)
 
 

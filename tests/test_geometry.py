@@ -421,6 +421,59 @@ class TestSurfaceJson:
             surface_from_json({"type": "nope"})
 
 
+# every function of the language, unary signs, ^, /, negative and fractional
+# exponents, pi, a constant and x**0
+ORACLE_LAMBDAS = [
+    "sin(x)*cos(y)", "tan(0.5*x) - tanh(y)", "exp(-x) + log(2 + sin(y))",
+    "sqrt(3 + cos(x*y))", "sinh(x/3) * (cosh(y) ^ 2)",
+    "+x**-2 - y**0.5 + x**-1.5", "-(x - y)**3 / (1 + x**2)",
+    "pi*x - 2*pi", "2*pi - 1", "x**0 + y", "0.1*cos(x)*sin(y)"]
+# the compiled derivatives reorder SymPy's operations: a few ulps apart
+ORACLE_RTOL = 1e-13
+
+
+class TestLambdaLanguage:
+    """``lamexpr.compile_lambda`` against SymPy's ``lambdify`` of the same
+    string, the reader it replaced."""
+
+    @staticmethod
+    def _sympy(expr):
+        import sympy as sp
+
+        x, y = sp.symbols("x y", real=True)
+        lam = sp.sympify(expr.replace("^", "**"),
+                         locals={"x": x, "y": y, "pi": sp.pi})
+        return sp.lambdify((x, y), [lam, sp.diff(lam, x), sp.diff(lam, y)],
+                           "numpy")
+
+    @pytest.mark.parametrize("expr", ORACLE_LAMBDAS)
+    def test_matches_sympy(self, expr):
+        from anosovlab.lamexpr import compile_lambda
+
+        fn, ref = compile_lambda(expr), self._sympy(expr)
+        rng = np.random.default_rng(5)
+        points = [(float(a), float(b)) for a, b in rng.uniform(0.5, 3, (20, 2))]
+        points.append(tuple(rng.uniform(0.5, 3, (2, 4))))
+        for x, y in points:
+            got = fn(x, y)
+            for g, r in zip(got, ref(x, y)):
+                assert np.shape(g) == np.shape(x)
+                np.testing.assert_allclose(g, r, rtol=ORACLE_RTOL,
+                                           atol=ORACLE_RTOL)
+
+    def test_x_to_the_zero_builds(self):
+        # its derivative is 0, not 0 * x**-1, which is NaN at the node x = 0
+        torus = ConformalTorus.from_expression("x**0", TWO_PI, TWO_PI, 8, 8)
+        assert np.all(torus.lam_grid == 1.0)
+        got = torus.lam_and_grad(np.zeros(4), np.zeros(4))
+        assert [v.tolist() for v in got] == [[1.0] * 4, [0.0] * 4, [0.0] * 4]
+
+    def test_forms_sympy_simplified_are_read_as_written(self):
+        # SymPy read x/x as 1; as written it is 0/0 at the node x = 0
+        with pytest.raises(ValueError, match="not periodic"):
+            ConformalTorus.from_expression("x/x", TWO_PI, TWO_PI, 16, 16)
+
+
 class TestReadNumber:
     """The one reader of config numbers: a key's default, kind and bounds
     are given where it is read."""
