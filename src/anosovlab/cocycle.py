@@ -416,12 +416,10 @@ def _profile_pool(model, seed=0, riders=()):
     if isinstance(model, ConstantCurvature):
         return [CurvatureProfile.constant(model.K0, name=f"constant K={model.K0}")]
     if isinstance(model, FuchsianOctagon):
-        pool = []
-        for word in ([0], [0, 1], [0, 2]):
-            geo = model.closed_geodesic_from_word(word, n_samples=256)
-            if geo is not None:
-                pool.append(curvature_profile_along(model, geo))
-        return pool
+        geos = model.closed_geodesics_from_words(([0], [0, 1], [0, 2]),
+                                                 n_samples=256)
+        return [curvature_profile_along(model, geo) for geo in geos
+                if geo is not None]
     if isinstance(model, ConformalTorus):
         rng = np.random.default_rng(seed)
         starts = np.array([[rng.uniform(0, model.Lx),

@@ -451,21 +451,68 @@ class FuchsianOctagon(_DiskChart):
         The word is a sequence of generator indices 0..7 (inverses are
         indices k+4).  Returns None for non-hyperbolic (elliptic/parabolic)
         words, which carry no closed geodesic."""
-        word = tuple(int(k) % 8 for k in word)
-        if not word:
-            raise ValueError("empty word")
-        M = self.word_matrix(word)
-        tr = abs(np.real(np.trace(M)))
-        if tr <= 2.0 + 1e-10:
-            return None
-        T = 2.0 * np.arccosh(tr / 2.0)
-        z0, theta0 = self.axis_of(M)
-        ts = grid_nodes(0.0, n_samples, T)
-        zr, thr, _ = self.reduce_batch(*self.geodesic_point(z0, theta0, ts))
-        samples = np.column_stack([zr.real, zr.imag, thr])
-        return ClosedGeodesic(model=self, period=T, samples=samples,
-                              dt=T / n_samples, source="octagon-word",
-                              word=word, axis=(z0, theta0))
+        return self.closed_geodesics_from_words([word], n_samples)[0]
+
+    # word geodesic points per reduce_batch call in
+    # closed_geodesics_from_words: the reduction's temporaries take ~1 kB a
+    # point (the images of the 8 generators and their distances).  On the
+    # default xray pool (256 words of 512 samples), 1024 points took 0.21 s
+    # where one word a call took 0.27 s, and left the run's peak RSS as it
+    # was; 2048 points ran at 0.20 s but raised the peak RSS by 0.5 MB, and
+    # 8192 points peaked at 10.7 MB in tracemalloc, above the word
+    # enumeration's 6.7 MB
+    REDUCE_CHUNK_POINTS = 1024
+
+    def closed_geodesics_from_words(self, words, n_samples=512):
+        """closed_geodesic_from_word of each word, in order: its closed
+        geodesic, or None when it is not hyperbolic.
+
+        The words are taken a chunk at a time, as many hyperbolic words as
+        hold REDUCE_CHUNK_POINTS samples (at least one): each word's orbit
+        is sampled from its axis, and the chunk's samples are reduced into
+        the octagon by one reduce_batch call.  The reduction acts on each
+        point alone, so a geodesic's samples do not depend on the words it
+        is reduced with, and only one chunk's unreduced points are alive at
+        a time."""
+        per_chunk = max(1, self.REDUCE_CHUNK_POINTS // n_samples)
+        out = [None] * len(words)
+        chunk = []      # (index, word, period, axis, z, theta) per word
+        for i, word in enumerate(words):
+            word = tuple(int(k) % 8 for k in word)
+            if not word:
+                raise ValueError("empty word")
+            M = self.word_matrix(word)
+            tr = abs(np.real(np.trace(M)))
+            if tr <= 2.0 + 1e-10:
+                continue
+            T = 2.0 * np.arccosh(tr / 2.0)
+            z0, theta0 = self.axis_of(M)
+            ts = grid_nodes(0.0, n_samples, T)
+            chunk.append((i, word, T, (z0, theta0),
+                          *self.geodesic_point(z0, theta0, ts)))
+            if len(chunk) == per_chunk:
+                self._reduce_word_chunk(chunk, n_samples, out)
+                chunk = []
+        if chunk:
+            self._reduce_word_chunk(chunk, n_samples, out)
+        return out
+
+    def _reduce_word_chunk(self, chunk, n, out):
+        """Reduce the n sampled points of each word of chunk
+        (closed_geodesics_from_words) by one reduce_batch call and put each
+        word's geodesic in out.  The geodesics' sample arrays are allocated
+        before the reduction's temporaries: allocated after them, they left
+        holes in the heap that raised the xray run's peak RSS by 0.25 MB."""
+        samples = [np.empty((n, 3)) for _ in chunk]
+        zr, thr, _ = self.reduce_batch(np.concatenate([c[4] for c in chunk]),
+                                       np.concatenate([c[5] for c in chunk]))
+        for j, (i, word, T, axis, _, _) in enumerate(chunk):
+            rows = slice(j * n, (j + 1) * n)
+            s = samples[j]
+            s[:, 0], s[:, 1], s[:, 2] = zr[rows].real, zr[rows].imag, thr[rows]
+            out[i] = ClosedGeodesic(model=self, period=T, samples=s,
+                                    dt=T / n, source="octagon-word",
+                                    word=word, axis=axis)
 
     # -- Dirichlet domain geometry ------------------------------------------
 

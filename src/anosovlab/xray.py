@@ -15,6 +15,49 @@ from .smfourier import bump
 
 
 # ----------------------------------------------------------------------------
+# point sets
+
+
+class Points:
+    """Surface points (x, y), with fiber angles theta at SM points, and the
+    factors that every tensor evaluated there shares, each computed on its
+    first use and kept while the point set lives: a model's (e^{-lam},
+    d_z lam, d_zbar lam), the window bump of a radius r0 and its
+    derivative, and e^{ik theta} of a mode k."""
+
+    def __init__(self, x, y, theta=None):
+        self.x, self.y = x, y
+        self.theta = None if theta is None else np.asarray(theta)
+        self._lam, self._windows, self._phases = {}, {}, {}
+
+    def lam(self, model):
+        """(e^{-lam}, d_z lam, d_zbar lam) of the model's conformal factor,
+        from one lam_and_grad call."""
+        if model not in self._lam:
+            lam, lam_x, lam_y = model.lam_and_grad(self.x, self.y)
+            self._lam[model] = (np.exp(-lam), 0.5 * (lam_x - 1j * lam_y),
+                                0.5 * (lam_x + 1j * lam_y))
+        return self._lam[model]
+
+    def window(self, r0):
+        """(b, b') of the radial bump b(t) of t = |z|^2 / r0^2, supported in
+        the disk of radius r0; inside the support b'(t) = -b / (1 - t)^2."""
+        if r0 not in self._windows:
+            t = (self.x ** 2 + self.y ** 2) / r0 ** 2
+            b = bump(t)
+            self._windows[r0] = (b, np.divide(-b, (1.0 - t) ** 2,
+                                              out=np.zeros_like(b),
+                                              where=t < 1.0))
+        return self._windows[r0]
+
+    def phase(self, k):
+        """e^{ik theta} at the SM points."""
+        if k not in self._phases:
+            self._phases[k] = np.exp(1j * k * self.theta)
+        return self._phases[k]
+
+
+# ----------------------------------------------------------------------------
 # analytic mode functions
 
 
@@ -26,7 +69,8 @@ def _conj(s):
 
 class Mode:
     """A scalar coefficient field: ``mode(x, y)`` is the stack (value, d_z,
-    d_zbar) at surface points, shape (3,) + theirs.
+    d_zbar) at surface points, shape (3,) + theirs; ``mode.at(points)`` is
+    that stack at a Points, whose shared factors its ``source`` reads.
 
     conj(), real() and imag() are operations on that stack.  The mode they
     make keeps its ``source`` evaluation and applies them to it, so a tensor
@@ -34,11 +78,14 @@ class Mode:
     (``SymTensorField.stacks``)."""
 
     def __init__(self, source, part=None):
-        self.source = source
+        self.source = source                # Points -> stack
         self.part = part or (lambda s: s)   # the source's stack -> this one's
 
     def __call__(self, x, y):
-        return self.part(self.source(x, y))
+        return self.at(Points(x, y))
+
+    def at(self, points):
+        return self.part(self.source(points))
 
     def _then(self, op):
         return Mode(self.source, lambda s: op(self.part(s)))
@@ -57,15 +104,14 @@ def windowed_trig_mode(mn, r0):
     """w(x,y) e^{i (pi/r0) (m x + n y)} with w a radial bump supported in
     the euclidean disk of radius r0 (inside the octagon when r0 < 0.64).
 
-    A stack takes the bump b(t) of t = |z|^2 / r0^2 and the phase once;
-    inside the support b'(t) = -b / (1 - t)^2."""
+    A stack reads the bump and its derivative from the point set and takes
+    the phase once."""
     m, n = mn
     om = np.pi / r0
 
-    def stack(x, y):
-        t = (x ** 2 + y ** 2) / r0 ** 2
-        b = bump(t)
-        db = np.divide(-b, (1.0 - t) ** 2, out=np.zeros_like(b), where=t < 1.0)
+    def stack(points):
+        b, db = points.window(r0)
+        x, y = points.x, points.y
         E = np.exp(1j * om * (m * x + n * y))
         out = np.empty((3,) + E.shape, dtype=complex)
         out[0] = b * E
@@ -89,9 +135,11 @@ def trig_mode(grid, chart):
     coef = np.concatenate([C[None], chart.eta_symbol[:, 0] * C])
     kx, ky = chart.kx[:, 0], chart.ky[0]
 
-    def stack(x, y):
-        Ex = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), kx))
-        Ey = np.exp(1j * np.multiply.outer(np.asarray(y, dtype=float), ky))
+    def stack(points):
+        Ex = np.exp(1j * np.multiply.outer(np.asarray(points.x, dtype=float),
+                                           kx))
+        Ey = np.exp(1j * np.multiply.outer(np.asarray(points.y, dtype=float),
+                                           ky))
         return np.einsum("...m,smn,...n->s...", Ex, coef, Ey)
 
     return Mode(stack)
@@ -105,7 +153,8 @@ class SymTensorField:
     """Degree-m symmetric tensor as its function on SM: vertical modes
     supported on {-m, -m+2, ..., m}, mode k the Mode ``modes[k]``.
     ``values(x, y)`` evaluates all of them at once, one row per k of
-    ``ks``."""
+    ``ks``; ``values_at`` and ``eval_at`` evaluate at a Points, sharing its
+    factors with every tensor evaluated there."""
 
     def __init__(self, model, m, modes, label=""):
         self.model = model
@@ -124,21 +173,28 @@ class SymTensorField:
                  for k in range(-m, m + 1, 2) if np.any(field.get(k))}
         return cls(model, m, modes, label=label)
 
-    def stacks(self, x, y):
-        """Each mode's stack at surface points, one per k of ``ks``; the
-        modes of one source share its evaluation."""
+    def stacks(self, points):
+        """Each mode's stack at a Points, one per k of ``ks``; the modes of
+        one source share its evaluation."""
         sources = dict.fromkeys(mode.source for mode in self.modes.values())
-        stacks = {source: source(x, y) for source in sources}
+        stacks = {source: source(points) for source in sources}
         return [mode.part(stacks[mode.source]) for mode in self.modes.values()]
 
     def values(self, x, y):
-        return np.array([s[0] for s in self.stacks(x, y)])
+        return self.values_at(Points(x, y))
+
+    def values_at(self, points):
+        return np.array([s[0] for s in self.stacks(points)])
 
     def eval(self, x, y, theta):
         """The function f(x, v) at SM points."""
-        acc = np.zeros(np.broadcast(x, y, theta).shape, dtype=complex)
-        for k, v in zip(self.ks, self.values(x, y)):
-            acc = acc + v * np.exp(1j * k * np.asarray(theta))
+        return self.eval_at(Points(x, y, theta))
+
+    def eval_at(self, points):
+        acc = np.zeros(np.broadcast(points.x, points.y, points.theta).shape,
+                       dtype=complex)
+        for k, v in zip(self.ks, self.values_at(points)):
+            acc += v * points.phase(k)
         return acc
 
 
@@ -148,8 +204,8 @@ class PotentialTensor(SymTensorField):
     h's modes must be Modes (windowed_trig_mode or trig_mode); the
     eta-ladder coefficients use the model's analytic conformal factor, so
     dh is the exact inner derivative of h's interpolant and I_m(dh) vanishes
-    on closed geodesics up to quadrature.  Its values read each mode of h,
-    and lam, once per point set."""
+    on closed geodesics up to quadrature.  Its values read each mode of h
+    once per point set, and lam from the point set."""
 
     def __init__(self, h):
         self.h, self.model, self.m = h, h.model, h.m + 1
@@ -157,11 +213,9 @@ class PotentialTensor(SymTensorField):
                         if k - 1 in h.modes or k + 1 in h.modes)
         self.label = f"d({h.label})"
 
-    def values(self, x, y):
-        lam, lam_x, lam_y = self.model.lam_and_grad(x, y)
-        emlam = np.exp(-lam)
-        dzl, dbl = 0.5 * (lam_x - 1j * lam_y), 0.5 * (lam_x + 1j * lam_y)
-        S = dict(zip(self.h.ks, self.h.stacks(x, y)))
+    def values_at(self, points):
+        emlam, dzl, dbl = points.lam(self.model)
+        S = dict(zip(self.h.ks, self.h.stacks(points)))
         out = np.zeros((len(self.ks),) + emlam.shape, dtype=complex)
         for row, k in zip(out, self.ks):
             if k - 1 in S:          # eta_+ raises mode k - 1
@@ -193,21 +247,27 @@ def solenoidal_check(A, chart):
 # ray transform
 
 
-def _orbit_samples(geo, n_samples=None):
-    """A geodesic's orbit samples and step; an octagon word geodesic with
-    fewer than n_samples stored samples is resampled exactly from its
+def _resampled(geo, n_samples):
+    """Whether the ray transform resamples geo: an octagon word geodesic
+    with fewer than n_samples stored samples is resampled exactly from its
     axis."""
-    if (n_samples is not None and len(geo.samples) < n_samples
-            and geo.source == "octagon-word" and geo.axis is not None):
+    return (n_samples is not None and len(geo.samples) < n_samples
+            and geo.source == "octagon-word" and geo.axis is not None)
+
+
+def _orbit_samples(geo, n_samples=None):
+    """A geodesic's orbit samples and step, resampled when _resampled."""
+    if _resampled(geo, n_samples):
         fine = geo.model.closed_geodesic_from_word(geo.word,
                                                    n_samples=n_samples)
         return fine.samples, fine.dt
     return geo.samples, geo.dt
 
 
-# rows of stacked orbit samples per tensor evaluation: the temporaries of
-# one SymTensorField.eval stay near 2 MB, where stacking the whole default
-# pool (131k rows) would take 16 times as much
+# rows of stacked orbit samples per tensor evaluation (ray_transform_matrix):
+# the chunk's shared factors (Points) take 104 B a row at degree 2, 0.85 MB
+# here, and the temporaries of one tensor's evaluation about 2 MB, where
+# stacking the whole default pool (131k rows) would take 16 times as much
 _CHUNK_POINTS = 8192
 
 
@@ -219,20 +279,30 @@ def _pool_chunks(pool, n_samples):
     orbit's step."""
     chunk, size = [], 0
     for i, geo in enumerate(pool):
-        samples, dt = _orbit_samples(geo, n_samples)
-        if chunk and size + len(samples) > _CHUNK_POINTS:
-            yield _stack_chunk(chunk)
+        n = n_samples if _resampled(geo, n_samples) else len(geo.samples)
+        if chunk and size + n > _CHUNK_POINTS:
+            yield _stack_chunk(pool, chunk, n_samples)
             chunk, size = [], 0
-        chunk.append((i, samples, dt))
-        size += len(samples)
+        chunk.append(i)
+        size += n
     if chunk:
-        yield _stack_chunk(chunk)
+        yield _stack_chunk(pool, chunk, n_samples)
 
 
-def _stack_chunk(chunk):
-    rows, samples, dts = zip(*chunk)
-    starts = np.cumsum([0] + [len(s) for s in samples[:-1]])
-    return np.array(rows), np.concatenate(samples), starts, np.array(dts)
+def _stack_chunk(pool, rows, n_samples):
+    """The chunk of the pool geodesics at rows, those _resampled resampled
+    by one closed_geodesics_from_words call (every octagon word geodesic's
+    model is the same octagon surface)."""
+    geos = [pool[i] for i in rows]
+    coarse = [j for j, geo in enumerate(geos) if _resampled(geo, n_samples)]
+    if coarse:
+        fine = geos[coarse[0]].model.closed_geodesics_from_words(
+            [geos[j].word for j in coarse], n_samples)
+        for j, geo in zip(coarse, fine):
+            geos[j] = geo
+    starts = np.cumsum([0] + [len(g.samples) for g in geos[:-1]])
+    return (np.array(rows), np.concatenate([g.samples for g in geos]), starts,
+            np.array([g.dt for g in geos]))
 
 
 def ray_transform(f, geo, n_samples=None):
@@ -250,16 +320,17 @@ def ray_transform(f, geo, n_samples=None):
 def ray_transform_matrix(basis, pool, n_samples=None):
     """G[i, j] = ray_transform(basis[j], pool[i], n_samples).
 
-    Each tensor is evaluated once per chunk of stacked orbits (see
-    _pool_chunks) and summed per orbit."""
+    The tensors are evaluated once per chunk of stacked orbits (see
+    _pool_chunks), at one Points whose shared factors they all read, and
+    summed per orbit."""
     for f in basis:
         for geo in pool:
             _check_same_model(f, geo)
     G = np.empty((len(pool), len(basis)))
     for rows, samples, starts, dts in _pool_chunks(pool, n_samples):
-        x, y, th = samples[:, 0], samples[:, 1], samples[:, 2]
+        points = Points(samples[:, 0], samples[:, 1], samples[:, 2])
         for j, f in enumerate(basis):
-            G[rows, j] = np.real(np.add.reduceat(f.eval(x, y, th), starts)
+            G[rows, j] = np.real(np.add.reduceat(f.eval_at(points), starts)
                                  * dts)
     return G
 
@@ -373,15 +444,15 @@ def octagon_geodesic_pool(model, max_len=6, max_count=256, n_samples=512):
     length L: all levels' (parent, letter) back-pointers are kept (5 B a
     word), and the traces (8 B a word) and np.unique of one level and the
     matrices of the level before it (64 B a word) live together, so the
-    enumeration peaks at ~7 MB at max_len 6 and ~45 MB at 7."""
+    enumeration peaks at ~7 MB at max_len 6 and ~45 MB at 7.  The classes'
+    geodesics are then built by one closed_geodesics_from_words call, which
+    reduces their samples into the octagon a chunk of whole words at a
+    time (FuchsianOctagon.REDUCE_CHUNK_POINTS, 1024 points: 2 words at the
+    default 512 samples)."""
     classes = _word_classes(model.disk_generators, max_len)
-    pool = []
-    for key in sorted(classes)[:max_count]:
-        geo = model.closed_geodesic_from_word(classes[key],
-                                              n_samples=n_samples)
-        if geo is not None:
-            pool.append(geo)
-    return pool
+    words = [classes[key] for key in sorted(classes)[:max_count]]
+    return [geo for geo in model.closed_geodesics_from_words(words, n_samples)
+            if geo is not None]
 
 
 # ----------------------------------------------------------------------------
@@ -432,10 +503,10 @@ def _nonpotential_basis(model, m, count, r0):
 def tensor_inner(f, g, chart):
     """L^2(SM) inner product of two tensors via quadrature at the chart's
     own nodes."""
-    X, Y = chart.nodes()
-    gv = dict(zip(g.ks, g.values(X, Y)))
+    nodes = Points(*chart.nodes())
+    gv = dict(zip(g.ks, g.values_at(nodes)))
     return complex(sum(chart.inner(a, gv[k])
-                       for k, a in zip(f.ks, f.values(X, Y)) if k in gv))
+                       for k, a in zip(f.ks, f.values_at(nodes)) if k in gv))
 
 
 def _gram(P, Q, w):

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -72,7 +73,7 @@ class TestModes:
         calls = []
         top = xray.windowed_trig_mode((1, 2), 0.57)
         source = top.source
-        top.source = lambda x, y: calls.append(1) or source(x, y)
+        top.source = lambda points: calls.append(1) or source(points)
         pair = xray.SymTensorField(octagon, 1, {1: top, -1: top.conj()})
         x, y = np.array([0.1, -0.2]), np.array([0.3, 0.05])
         v = pair.values(x, y)
@@ -90,7 +91,7 @@ class TestRayTransform:
         b = xray.SymTensorField(octagon, 0, xray._real_modes(0, 2, 0.57)[1])
         both = xray.SymTensorField(
             octagon, 0, {0: xray.Mode(
-                lambda x, y: a.modes[0](x, y) + 2.0 * b.modes[0](x, y))})
+                lambda p: a.modes[0].at(p) + 2.0 * b.modes[0].at(p))})
         Ia = xray.ray_transform(a, geo)
         Ib = xray.ray_transform(b, geo)
         Iboth = xray.ray_transform(both, geo)
@@ -142,6 +143,61 @@ class TestRayTransform:
                 ref = xray.ray_transform(f, geo, n_samples=n_samples)
                 mass = xray.abs_ray_mass(f, geo, n_samples=n_samples)
                 assert abs(G[i, j] - ref) <= 1e-12 * max(1.0, mass)
+
+    @pytest.mark.parametrize("n_samples", [None, 1024])
+    def test_matrix_equals_per_tensor_evaluation(self, octagon, small_pool,
+                                                 n_samples):
+        # the tensors of a chunk share its factors; each evaluated at a
+        # point set of its own, over the same chunks, gives G to the bit
+        basis = (xray._potential_basis(octagon, 2, 3, 0.57)
+                 + xray._nonpotential_basis(octagon, 2, 3, 0.57))
+        pool = small_pool[:20]
+        ref = np.empty((len(pool), len(basis)))
+        chunks = list(xray._pool_chunks(pool, n_samples))
+        assert len(chunks) >= 2
+        for rows, samples, starts, dts in chunks:
+            x, y, th = samples[:, 0], samples[:, 1], samples[:, 2]
+            for j, f in enumerate(basis):
+                ref[rows, j] = np.real(np.add.reduceat(f.eval(x, y, th),
+                                                       starts) * dts)
+        G = xray.ray_transform_matrix(basis, pool, n_samples)
+        assert np.array_equal(G, ref)
+
+    def test_matrix_takes_shared_factors_once_per_chunk(
+            self, octagon, small_pool, monkeypatch):
+        # one lam_and_grad call and one window bump per chunk, where each
+        # potential tensor took lam and each windowed source the bump
+        counts = {"lam": 0, "bump": 0, "resample": 0}
+
+        def counted(key, fn):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return call
+        monkeypatch.setattr(octagon, "lam_and_grad",
+                            counted("lam", octagon.lam_and_grad))
+        monkeypatch.setattr(xray, "bump", counted("bump", xray.bump))
+        monkeypatch.setattr(octagon, "closed_geodesics_from_words",
+                            counted("resample",
+                                    octagon.closed_geodesics_from_words))
+        basis = (xray._potential_basis(octagon, 2, 4, 0.57)
+                 + xray._nonpotential_basis(octagon, 2, 4, 0.57))
+        pool = small_pool[:20]
+        for n_samples in (None, 1024):
+            n_chunks = len(list(xray._pool_chunks(pool, n_samples)))
+            counts.update(lam=0, bump=0, resample=0)
+            xray.ray_transform_matrix(basis, pool, n_samples)
+            assert counts["lam"] == counts["bump"] == n_chunks
+            # the orbits resampled at 1024 samples: one call per chunk
+            assert counts["resample"] == (n_chunks if n_samples else 0)
+
+    def test_resampled_chunks_match_each_orbit_resampled(self, small_pool):
+        pool = small_pool[:20]
+        samples = np.concatenate([xray._orbit_samples(geo, 1024)[0]
+                                  for geo in pool])
+        chunks = list(xray._pool_chunks(pool, 1024))
+        assert np.array_equal(np.concatenate([c[1] for c in chunks]),
+                              samples)
 
     def test_model_mismatch_raises(self, flat_torus, small_pool):
         ch = sf.Chart.from_torus(flat_torus)
@@ -230,6 +286,28 @@ def _dfs_classes(max_len):
     return classes
 
 
+def _word_geodesic_oracle(octagon, word, n_samples):
+    """(period, dt, axis, samples) of a word's closed geodesic, or None,
+    by the per-word steps with one reduce_batch call of its own."""
+    M = octagon.word_matrix(word)
+    tr = abs(np.real(np.trace(M)))
+    if tr <= 2.0 + 1e-10:
+        return None
+    T = 2.0 * np.arccosh(tr / 2.0)
+    z0, theta0 = octagon.axis_of(M)
+    ts = np.arange(n_samples) * (T / n_samples)
+    zr, thr, _ = octagon.reduce_batch(*octagon.geodesic_point(z0, theta0, ts))
+    return T, T / n_samples, (z0, theta0), np.column_stack([zr.real, zr.imag,
+                                                            thr])
+
+
+def _assert_matches_oracle(geo, ref):
+    T, dt, axis, samples = ref
+    assert geo.period == T and geo.dt == dt
+    assert np.array_equal(geo.axis, axis)
+    assert np.array_equal(geo.samples, samples)
+
+
 class TestGeodesicPool:
     def test_levels_are_the_reduced_words_in_order(self, octagon):
         # every reduced word of each length once, lexicographically, with
@@ -255,21 +333,54 @@ class TestGeodesicPool:
         assert all(type(k) is float for k in classes)
         assert all(type(g) is int for w in classes.values() for g in w)
 
-    @pytest.mark.parametrize("max_len, max_count", [(4, 64), (6, 256)])
-    def test_pool_matches_dfs_pool(self, octagon, max_len, max_count):
+    @pytest.mark.parametrize("max_len, max_count, n_samples", [
+        pytest.param(4, 64, 512, id="4-64"),
+        pytest.param(6, 256, 512, id="6-256"),
+        # 6 words of 300 samples a reduction: the last of 7 holds one
+        pytest.param(6, 37, 300, id="6-37-300")])
+    def test_pool_matches_dfs_pool(self, octagon, max_len, max_count,
+                                   n_samples):
         classes = _dfs_classes(max_len)
-        oracle = [octagon.closed_geodesic_from_word(classes[key],
-                                                    n_samples=512)
-                  for key in sorted(classes)[:max_count]]
-        oracle = [g for g in oracle if g is not None]
+        words = [classes[key] for key in sorted(classes)[:max_count]]
+        oracle = [(w, _word_geodesic_oracle(octagon, w, n_samples))
+                  for w in words]
+        oracle = [(w, ref) for w, ref in oracle if ref is not None]
         pool = xray.octagon_geodesic_pool(octagon, max_len=max_len,
-                                          max_count=max_count, n_samples=512)
+                                          max_count=max_count,
+                                          n_samples=n_samples)
         # 35 classes up to length 4, 429 up to length 6
         assert len(pool) == len(oracle) == min(max_count, len(classes))
-        for geo, ref in zip(pool, oracle):
-            assert geo.word == ref.word
-            assert geo.period == ref.period
-            assert np.array_equal(geo.samples, ref.samples)
+        for geo, (word, ref) in zip(pool, oracle):
+            assert geo.word == word
+            _assert_matches_oracle(geo, ref)
+
+    def test_builder_keeps_word_order(self, octagon):
+        # a word that is not hyperbolic (the surface relation) keeps its
+        # place as None among reductions of 2 words each
+        words = [(0,), octagon.RELATION, (0, 2), (1, 3), (2, 7, 5)]
+        n_samples = octagon.REDUCE_CHUNK_POINTS // 2
+        geos = octagon.closed_geodesics_from_words(words, n_samples)
+        assert geos[1] is None
+        for word, geo in zip(words, geos):
+            ref = _word_geodesic_oracle(octagon, word, n_samples)
+            if ref is None:
+                assert geo is None
+            else:
+                assert geo.word == word
+                _assert_matches_oracle(geo, ref)
+
+    def test_pool_memory(self, octagon):
+        # the enumeration of the words up to length 6 peaks at 6.72 MB, as
+        # it did with each word reduced alone; the default pool and one
+        # reduction of 1024 points stay below it, where reductions of 4096
+        # points peaked at 7.05 MB and of 8192 points at 10.7 MB
+        tracemalloc.start()
+        try:
+            xray.octagon_geodesic_pool(octagon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.9e6
 
     def test_pool_properties(self, octagon, small_pool):
         assert 0 < len(small_pool) <= 64
