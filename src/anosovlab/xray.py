@@ -552,6 +552,9 @@ def sinjectivity_experiment(model, m, pool, n_basis=20, threshold=1e-6,
     X, Y = chart.nodes()
     w = np.array([chart.w * (2.0 if k else 1.0)
                   for k in range(m % 2, m + 1, 2)])
+    # the rest of the chart (lam and its calculus, K, the symbols: 0.55 MB)
+    # would sit on the projection below, the peak of the run's memory
+    del chart
 
     def on_chart(f, out):
         out[...] = 0.0
