@@ -336,7 +336,7 @@ class TestGeodesicPool:
     @pytest.mark.parametrize("max_len, max_count, n_samples", [
         pytest.param(4, 64, 512, id="4-64"),
         pytest.param(6, 256, 512, id="6-256"),
-        # 6 words of 300 samples a reduction: the last of 7 holds one
+        # 3 words of 300 samples a reduction: the last of 13 holds one
         pytest.param(6, 37, 300, id="6-37-300")])
     def test_pool_matches_dfs_pool(self, octagon, max_len, max_count,
                                    n_samples):
