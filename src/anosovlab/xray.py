@@ -22,8 +22,8 @@ class Points:
     """Surface points (x, y), with fiber angles theta at SM points, and the
     factors that every tensor evaluated there shares, each computed on its
     first use and kept while the point set lives: a model's (e^{-lam},
-    d_z lam, d_zbar lam), the window bump of a radius r0 and its
-    derivative, and e^{ik theta} of a mode k."""
+    d_z lam, d_zbar lam), the window bump of a radius r0 with its d_z and
+    d_zbar, and e^{ik theta} of a mode k."""
 
     def __init__(self, x, y, theta=None):
         self.x, self.y = x, y
@@ -40,14 +40,17 @@ class Points:
         return self._lam[model]
 
     def window(self, r0):
-        """(b, b') of the radial bump b(t) of t = |z|^2 / r0^2, supported in
-        the disk of radius r0; inside the support b'(t) = -b / (1 - t)^2."""
+        """(b, d_z b, d_zbar b) of the radial bump b(t) of t = |z|^2 / r0^2,
+        supported in the disk of radius r0: inside the support
+        b'(t) = -b / (1 - t)^2, and d_z t = conj(z) / r0^2."""
         if r0 not in self._windows:
-            t = (self.x ** 2 + self.y ** 2) / r0 ** 2
+            x, y = self.x, self.y
+            t = (x ** 2 + y ** 2) / r0 ** 2
             b = bump(t)
-            self._windows[r0] = (b, np.divide(-b, (1.0 - t) ** 2,
-                                              out=np.zeros_like(b),
-                                              where=t < 1.0))
+            db = np.divide(-b, (1.0 - t) ** 2, out=np.zeros_like(b),
+                           where=t < 1.0)
+            self._windows[r0] = (b, db * (x - 1j * y) / r0 ** 2,
+                                 db * (x + 1j * y) / r0 ** 2)
         return self._windows[r0]
 
     def phase(self, k):
@@ -104,22 +107,19 @@ def windowed_trig_mode(mn, r0):
     """w(x,y) e^{i (pi/r0) (m x + n y)} with w a radial bump supported in
     the euclidean disk of radius r0 (inside the octagon when r0 < 0.64).
 
-    A stack reads the bump and its derivative from the point set and takes
-    the phase once."""
+    A stack reads the window's (b, d_z b, d_zbar b) from the point set and
+    takes the phase once."""
     m, n = mn
     om = np.pi / r0
 
     def stack(points):
-        b, db = points.window(r0)
-        x, y = points.x, points.y
-        E = np.exp(1j * om * (m * x + n * y))
+        b, dzb, dbb = points.window(r0)
+        E = np.exp(1j * om * (m * points.x + n * points.y))
         out = np.empty((3,) + E.shape, dtype=complex)
         out[0] = b * E
-        # d/dz of t is conj(z)/r0^2; d/dz of the phase is i om (m - i n)/2
-        out[1] = (db * (x - 1j * y) / r0 ** 2
-                  + b * 0.5j * om * (m - 1j * n)) * E
-        out[2] = (db * (x + 1j * y) / r0 ** 2
-                  + b * 0.5j * om * (m + 1j * n)) * E
+        # d/dz of the phase is i om (m - i n)/2
+        out[1] = (dzb + b * 0.5j * om * (m - 1j * n)) * E
+        out[2] = (dbb + b * 0.5j * om * (m + 1j * n)) * E
         return out
 
     return Mode(stack)
@@ -265,7 +265,7 @@ def _orbit_samples(geo, n_samples=None):
 
 
 # rows of stacked orbit samples per tensor evaluation (ray_transform_matrix):
-# the chunk's shared factors (Points) take 104 B a row at degree 2, 0.85 MB
+# the chunk's shared factors (Points) take 128 B a row at degree 2, 1 MB
 # here, and the temporaries of one tensor's evaluation about 2 MB, where
 # stacking the whole default pool (131k rows) would take 16 times as much
 _CHUNK_POINTS = 8192
